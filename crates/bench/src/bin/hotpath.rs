@@ -39,6 +39,9 @@
 //! * `dispatch` — one in-unit window partition (`plan_window`,
 //!   DESIGN.md §15) over a synthetic claim stream with recurring nodes,
 //!   the per-window planning cost of parallel dispatch.
+//! * `station_store_churn` — one upload plus one hand-off on a station
+//!   store 8 000 packets deep (DESIGN.md §16), the store half of the
+//!   uplink and downlink transfers.
 //!
 //! Wall-clock readings come from the bench crate's quarantined
 //! [`Stopwatch`]; results are medians over repeated samples so a single
@@ -46,11 +49,12 @@
 
 use dtnflow_bench::timing::Stopwatch;
 use dtnflow_core::dense::DenseMap;
-use dtnflow_core::ids::LandmarkId;
+use dtnflow_core::ids::{LandmarkId, PacketId};
 use dtnflow_core::{RankIndex, TimingWheel};
 use dtnflow_obs::json::{parse, Value};
 use dtnflow_predictor::MarkovPredictor;
 use dtnflow_router::{BandwidthMatrix, FlowConfig, FlowRouter, RoutingTable};
+use dtnflow_sim::store::{SlotIndex, StationStore};
 use dtnflow_sim::{plan_window, Claim};
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -77,12 +81,17 @@ struct BenchResult {
 struct Lcg(u64);
 
 impl Lcg {
-    fn next_lm(&mut self, n: usize) -> LandmarkId {
+    /// A draw from `0..n`.
+    fn next_below(&mut self, n: usize) -> usize {
         self.0 = self
             .0
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        LandmarkId(((self.0 >> 33) % n as u64) as u16)
+        ((self.0 >> 33) % n as u64) as usize
+    }
+
+    fn next_lm(&mut self, n: usize) -> LandmarkId {
+        LandmarkId::from(self.next_below(n))
     }
 }
 
@@ -321,6 +330,38 @@ fn bench_dispatch(samples: usize, ops: u64) -> BenchResult {
     })
 }
 
+/// One upload plus one hand-off on a station store held at 8 000
+/// packets, the mean station depth of the benchmark's 1000/day campus
+/// cell. Another 8 000 packets stand in for those on carriers: each op
+/// uploads a random carried packet and hands a random member back out,
+/// so the depth stays fixed. A sorted store shifts about half the queue
+/// on each of the two steps; the slot-indexed store does neither.
+fn bench_station_store_churn(samples: usize, ops: u64) -> BenchResult {
+    const DEPTH: usize = 8_000;
+    const SIZE: u64 = 1_024;
+    let mut slots = SlotIndex::new();
+    let mut store = StationStore::new();
+    // File all 2 × DEPTH packets, then hand the odd ids out: the slot
+    // index is fully paged in before timing, and the members start in
+    // the shuffled order swap-removes leave behind.
+    for i in 0..2 * DEPTH {
+        store.insert(PacketId::from(i), SIZE, &mut slots);
+    }
+    let mut carried: Vec<PacketId> = (1..2 * DEPTH).step_by(2).map(PacketId::from).collect();
+    for &pkt in &carried {
+        store.remove(pkt, SIZE, &mut slots);
+    }
+    let mut rng = Lcg(0x57A7_10E5);
+    run_bench("station_store_churn", samples, ops, move |_| {
+        let up = carried.swap_remove(rng.next_below(carried.len()));
+        store.insert(up, SIZE, &mut slots);
+        let down = store.members()[rng.next_below(store.len())];
+        store.remove(down, SIZE, &mut slots);
+        carried.push(down);
+        u64::from(down.0)
+    })
+}
+
 fn results_json(mode: &str, results: &[BenchResult]) -> String {
     Value::object([
         ("schema".to_owned(), Value::str(SCHEMA)),
@@ -479,6 +520,7 @@ fn main() {
         bench_markov_update(samples, ops),
         bench_dense_map_churn(samples, ops),
         bench_dispatch(samples, ops / 10),
+        bench_station_store_churn(samples, ops),
     ];
     for r in &results {
         println!(

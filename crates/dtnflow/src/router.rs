@@ -358,7 +358,9 @@ fn landmark_unit_work(
     st.clear_buckets();
     let mut metas = Vec::new();
     let mut fallbacks = 0u64;
-    for pkt in view.station_packets(lm) {
+    let mut packets = Vec::new();
+    view.station_packets(lm, &mut packets);
+    for &pkt in &packets {
         let p = view.packet(pkt);
         let (next, expected, _, fellback) =
             choose_next_cached(&mut st, cfg, known_down, route_epoch, lm, p.dst);
@@ -1015,8 +1017,7 @@ impl FlowRouter {
     /// Rebuild a landmark's station indices after a routing-table refresh.
     fn rebucket(&mut self, world: &World, lm: LandmarkId) {
         let mut packets = std::mem::take(&mut self.scratch_pkts);
-        packets.clear();
-        packets.extend(world.station_packets(lm));
+        world.station_packets(lm, &mut packets);
         self.landmarks[lm.index()].clear_buckets();
         for &pkt in packets.iter() {
             let p = world.packet(pkt);
@@ -1148,8 +1149,9 @@ impl FlowRouter {
         if !world.station_is_up(lm) || self.known_down[lm.index()] {
             return;
         }
-        let stranded: Vec<PacketId> = world.station_packets(lm).collect();
-        for pkt in stranded {
+        let mut stranded = Vec::new();
+        world.station_packets(lm, &mut stranded);
+        for &pkt in &stranded {
             let (dst, dst_node) = {
                 let p = world.packet(pkt);
                 (p.dst, p.dst_node)
@@ -1169,8 +1171,9 @@ impl FlowRouter {
             self.stats.stranded_requeues += 1;
         }
         self.rebucket(world, lm);
-        let survivors: Vec<PacketId> = world.station_packets(lm).collect();
-        for pkt in survivors {
+        let mut survivors = stranded;
+        world.station_packets(lm, &mut survivors);
+        for &pkt in &survivors {
             self.try_assign_packet(world, lm, pkt, None);
         }
     }

@@ -7,7 +7,7 @@
 //! algorithm plays by: co-location, memory limits, TTLs, and single-copy
 //! semantics.
 
-use crate::store::PacketStore;
+use crate::store::{PacketStore, SlotIndex, StationStore};
 use dtnflow_core::config::SimConfig;
 use dtnflow_core::dense::DenseSet;
 use dtnflow_core::ids::{LandmarkId, NodeId, PacketId};
@@ -28,6 +28,25 @@ fn place_of(loc: PacketLoc) -> Option<Place> {
         PacketLoc::AtStation(l) => Some(Place::Station(l)),
         _ => None,
     }
+}
+
+/// Checkpoint validation: whether every one of `members` is a known
+/// packet located at `here`, and `used` is their count times `size`.
+fn store_is_consistent(
+    packets: &[Packet],
+    members: impl Iterator<Item = PacketId>,
+    used: u64,
+    size: u64,
+    here: PacketLoc,
+) -> bool {
+    let mut count = 0u64;
+    for pkt in members {
+        if packets.get(pkt.index()).map(|p| p.loc) != Some(here) {
+            return false;
+        }
+        count += 1;
+    }
+    count.checked_mul(size) == Some(used)
 }
 
 /// Why a transfer was refused.
@@ -112,7 +131,7 @@ pub struct TransferOutcome {
 #[derive(Debug, Clone, Copy)]
 pub struct WorldView<'a> {
     packets: &'a [Packet],
-    station_store: &'a [PacketStore],
+    station_store: &'a [StationStore],
     cfg: &'a SimConfig,
     now: SimTime,
     node_loc: &'a [Option<LandmarkId>],
@@ -138,10 +157,10 @@ impl<'a> WorldView<'a> {
         &self.packets[id.index()]
     }
 
-    /// Packets stored at a station, ascending by id — same order as
-    /// [`World::station_packets`].
-    pub fn station_packets(&self, lm: LandmarkId) -> impl Iterator<Item = PacketId> + 'a {
-        self.station_store[lm.index()].iter()
+    /// Packets stored at a station, written into `out` ascending by id —
+    /// same contract as [`World::station_packets`].
+    pub fn station_packets(&self, lm: LandmarkId, out: &mut Vec<PacketId>) {
+        self.station_store[lm.index()].sorted_into(out);
     }
 
     /// Number of packets at a station.
@@ -193,7 +212,12 @@ pub struct World {
     num_landmarks: usize,
     packets: Vec<Packet>,
     node_store: Vec<PacketStore>,
-    station_store: Vec<PacketStore>,
+    station_store: Vec<StationStore>,
+    /// Each packet's position in its station's store (DESIGN.md §16).
+    /// Pages are added by station inserts only, so runs that never use
+    /// stations never allocate it.
+    // detlint: allow(S1, reason = "derived slot index, rebuilt from station_store by decode_state")
+    station_slot: SlotIndex,
     /// Packets generated in a subarea and not yet picked up (no-station
     /// routers only).
     pending: Vec<DenseSet<PacketId>>,
@@ -275,9 +299,8 @@ impl World {
             node_store: (0..num_nodes)
                 .map(|_| PacketStore::bounded(cfg.node_memory))
                 .collect(),
-            station_store: (0..num_landmarks)
-                .map(|_| PacketStore::unbounded())
-                .collect(),
+            station_store: vec![StationStore::new(); num_landmarks],
+            station_slot: SlotIndex::new(),
             pending: vec![DenseSet::new(); num_landmarks],
             scratch_pkts: Vec::new(),
             node_loc: vec![None; num_nodes],
@@ -359,14 +382,21 @@ impl World {
         self.node_store[node.index()].fits(self.cfg.packet_size)
     }
 
-    /// Packets stored at a station, ascending by id.
-    pub fn station_packets(&self, lm: LandmarkId) -> impl Iterator<Item = PacketId> + '_ {
-        self.station_store[lm.index()].iter()
+    /// Packets stored at a station, written into `out` (cleared first)
+    /// ascending by id. The store itself is unordered, so this sorts:
+    /// call it once per scan and reuse `out` across calls.
+    pub fn station_packets(&self, lm: LandmarkId, out: &mut Vec<PacketId>) {
+        self.station_store[lm.index()].sorted_into(out);
     }
 
     /// Number of packets at a station.
     pub fn station_packet_count(&self, lm: LandmarkId) -> usize {
         self.station_store[lm.index()].len()
+    }
+
+    /// Bytes stored at a station.
+    pub fn station_used_bytes(&self, lm: LandmarkId) -> u64 {
+        self.station_store[lm.index()].used_bytes()
     }
 
     /// Packets pending pickup in a subarea (no-station routers).
@@ -504,7 +534,7 @@ impl World {
                     return Err(TransferError::NoSpace);
                 }
                 self.take_radio_budget(l)?;
-                self.station_store[l.index()].remove(pkt, size);
+                self.station_remove(l, pkt);
                 self.note_station_activity(l);
             }
             PacketLoc::OnNode(m) => {
@@ -603,11 +633,7 @@ impl World {
         }
         let loop_closed = p.record_station_visit(lm);
         p.loc = PacketLoc::AtStation(lm);
-        // Invariant: station stores are unbounded, inserts never fail.
-        assert!(
-            self.station_store[lm.index()].insert(pkt, size),
-            "unbounded station store refused an insert"
-        );
+        self.station_insert(lm, pkt);
         if let Some(from) = place_of(loc) {
             self.emit(|at| SimEvent::PacketForwarded {
                 at,
@@ -639,8 +665,7 @@ impl World {
         if !self.station_up[l.index()] {
             return Err(TransferError::StationDown);
         }
-        let size = self.cfg.packet_size;
-        self.station_store[l.index()].remove(pkt, size);
+        self.station_remove(l, pkt);
         self.note_station_activity(l);
         let now = self.now;
         let p = &mut self.packets[pkt.index()];
@@ -662,6 +687,26 @@ impl World {
     }
 
     // ---- engine-side mutations (crate-private) ----------------------------
+
+    /// File `pkt` in the station store at `lm`. Station stores are
+    /// unbounded, so this cannot fail.
+    fn station_insert(&mut self, lm: LandmarkId, pkt: PacketId) {
+        self.station_store[lm.index()].insert(pkt, self.cfg.packet_size, &mut self.station_slot);
+    }
+
+    /// Take `pkt` out of the station store at `lm`; its `loc` says it is
+    /// there (the store only enumerates, `loc` is the truth).
+    fn station_remove(&mut self, lm: LandmarkId, pkt: PacketId) {
+        let removed = self.station_store[lm.index()].remove(
+            pkt,
+            self.cfg.packet_size,
+            &mut self.station_slot,
+        );
+        debug_assert!(
+            removed,
+            "packet {pkt} at station {lm:?} missing from its store"
+        );
+    }
 
     fn check_live(&mut self, pkt: PacketId) -> Result<(), TransferError> {
         let p = &self.packets[pkt.index()];
@@ -695,7 +740,7 @@ impl World {
                 self.node_store[n.index()].remove(pkt, size);
             }
             PacketLoc::AtStation(l) => {
-                self.station_store[l.index()].remove(pkt, size);
+                self.station_remove(l, pkt);
             }
             PacketLoc::PendingAtSource(l) => {
                 self.pending[l.index()].remove(pkt);
@@ -879,11 +924,6 @@ impl World {
             }
             p.loc = PacketLoc::AtStation(src);
             p.record_station_visit(src);
-            // Invariant: station stores are unbounded, inserts never fail.
-            assert!(
-                self.station_store[src.index()].insert(id, self.cfg.packet_size),
-                "unbounded station store refused an insert"
-            );
         } else {
             self.pending[src.index()].insert(id);
         }
@@ -897,6 +937,9 @@ impl World {
             "packet creation times must be non-decreasing"
         );
         self.packets.push(p);
+        if station_mode {
+            self.station_insert(src, id);
+        }
         self.expiry
             .push(deadline.secs(), id.index() as u64, id.index() as u64);
         self.metrics.generated += 1;
@@ -919,7 +962,7 @@ impl World {
                 self.node_store[n.index()].remove(pkt, size);
             }
             PacketLoc::AtStation(l) => {
-                self.station_store[l.index()].remove(pkt, size);
+                self.station_remove(l, pkt);
             }
             PacketLoc::PendingAtSource(l) => {
                 self.pending[l.index()].remove(pkt);
@@ -1034,7 +1077,9 @@ impl World {
     /// declaration order. Excluded by design: the config and network sizes
     /// (supplied again on restore and fingerprint-checked at the snapshot
     /// level), `scratch_pkts` (always cleared before use), `present`
-    /// (derivable from `node_loc`), and the trace sink (checkpointed
+    /// (derivable from `node_loc`), `station_slot` (derivable from the
+    /// station stores, which encode their members ascending whatever
+    /// their storage order), and the trace sink (checkpointed
     /// separately so the engine can order the `CheckpointWritten` event
     /// before the recorder bytes are captured).
     pub(crate) fn encode_state(&self, w: &mut Writer) {
@@ -1107,7 +1152,9 @@ impl World {
     /// come from the caller (re-derived from the run inputs); per-node and
     /// per-landmark vector lengths must match them. `present` is rebuilt
     /// from `node_loc` by an ascending node scan, which reproduces the
-    /// exact `DenseSet` contents incremental arrivals would have built.
+    /// exact `DenseSet` contents incremental arrivals would have built;
+    /// `station_slot` is rebuilt from the station stores. Store members
+    /// are checked against the packets' `loc` before either is trusted.
     pub(crate) fn decode_state(
         r: &mut Reader<'_>,
         cfg: SimConfig,
@@ -1142,7 +1189,29 @@ impl World {
         expect_len(n, num_landmarks)?;
         let mut station_store = Vec::with_capacity(n);
         for _ in 0..n {
-            station_store.push(PacketStore::decode(r)?);
+            station_store.push(StationStore::decode(r)?);
+        }
+        // Every store member must be a known packet whose `loc` names
+        // exactly that store, and every store's byte count must match its
+        // size. `loc` is single-valued, so this also rejects a packet
+        // listed in two stores. Ids are checked before they index
+        // anything: a crafted id must not size the slot index below.
+        let size = cfg.packet_size;
+        let nodes_ok = node_store.iter().enumerate().all(|(n, s)| {
+            let here = PacketLoc::OnNode(NodeId::from(n));
+            store_is_consistent(&packets, s.iter(), s.used_bytes(), size, here)
+        });
+        let stations_ok = station_store.iter().enumerate().all(|(l, s)| {
+            let here = PacketLoc::AtStation(LandmarkId::from(l));
+            let members = s.members().iter().copied();
+            store_is_consistent(&packets, members, s.used_bytes(), size, here)
+        });
+        if !(nodes_ok && stations_ok) {
+            return Err(SnapshotError::Corrupt { context: CTX });
+        }
+        let mut station_slot = SlotIndex::new();
+        for s in &station_store {
+            s.index_slots(&mut station_slot);
         }
         let n = r.seq_len("World.pending")?;
         expect_len(n, num_landmarks)?;
@@ -1249,6 +1318,7 @@ impl World {
             packets,
             node_store,
             station_store,
+            station_slot,
             pending,
             scratch_pkts: Vec::new(),
             node_loc,
@@ -1453,5 +1523,126 @@ mod tests {
     fn rejects_same_src_dst_packet() {
         let mut w = world();
         w.create_packet(lm(0), lm(0), None, false);
+    }
+
+    // ---- snapshot corruption: store membership ---------------------------
+
+    fn encode(w: &World) -> Vec<u8> {
+        let mut wr = Writer::new();
+        w.encode_state(&mut wr);
+        wr.into_bytes()
+    }
+
+    fn decode(w: &World, bytes: &[u8]) -> Result<World, SnapshotError> {
+        World::decode_state(
+            &mut Reader::new(bytes),
+            w.cfg.clone(),
+            w.num_nodes,
+            w.num_landmarks,
+        )
+    }
+
+    /// Three packets at station 0 (one handed on to node 0), one at
+    /// station 1.
+    fn stocked_world() -> (World, [PacketId; 4]) {
+        let mut w = world();
+        let a = w.create_packet(lm(0), lm(2), None, true);
+        let b = w.create_packet(lm(0), lm(2), None, true);
+        let c = w.create_packet(lm(0), lm(1), None, true);
+        let d = w.create_packet(lm(1), lm(2), None, true);
+        w.node_arrive(n(0), lm(0));
+        w.transfer_to_node(b, n(0)).unwrap();
+        (w, [a, b, c, d])
+    }
+
+    /// A station store holding exactly `ids`, as a snapshot would carry it
+    /// (built through the codec, so no slot index is sized by the ids).
+    fn crafted_station(ids: &[u64], size: u64) -> StationStore {
+        let mut wr = Writer::new();
+        wr.put_u8(0);
+        wr.put_u64(ids.len() as u64 * size);
+        wr.put_usize(ids.len());
+        for &id in ids {
+            wr.put_u64(id);
+        }
+        StationStore::decode(&mut Reader::new(&wr.into_bytes())).unwrap()
+    }
+
+    fn assert_corrupt(res: Result<World, SnapshotError>, what: &str) {
+        match res {
+            Err(SnapshotError::Corrupt { context: "World" }) => {}
+            Err(e) => panic!("{what}: expected World corruption, got {e:?}"),
+            Ok(_) => panic!("{what}: corrupt snapshot was accepted"),
+        }
+    }
+
+    #[test]
+    fn stocked_world_roundtrips_byte_identically() {
+        let (w, [a, _, c, _]) = stocked_world();
+        let bytes = encode(&w);
+        let mut back = decode(&w, &bytes).unwrap();
+        assert_eq!(encode(&back), bytes);
+        // The rebuilt slot index serves removals.
+        back.node_arrive(n(1), lm(0));
+        back.transfer_to_node(c, n(1)).unwrap();
+        let mut here = Vec::new();
+        back.station_packets(lm(0), &mut here);
+        assert_eq!(here, vec![a]);
+        assert_eq!(back.station_used_bytes(lm(0)), back.cfg.packet_size);
+    }
+
+    #[test]
+    fn decode_rejects_store_member_beyond_packet_count() {
+        let (mut w, _) = stocked_world();
+        let size = w.cfg.packet_size;
+        // An id far past the packet table must be refused before it sizes
+        // the slot index. (Not `u32::MAX`: should the check ever regress,
+        // this test would then allocate 16 GiB of slot pages.)
+        w.station_store[1] = crafted_station(&[3, 5_000_000], size);
+        assert_corrupt(decode(&w, &encode(&w)), "station member id out of range");
+
+        let (mut w, _) = stocked_world();
+        w.node_store[2].insert(PacketId(4), size);
+        assert_corrupt(decode(&w, &encode(&w)), "node member id out of range");
+    }
+
+    #[test]
+    fn decode_rejects_store_member_with_foreign_loc() {
+        let (mut w, [a, b, _, _]) = stocked_world();
+        w.packets[a.index()].loc = PacketLoc::Expired;
+        assert_corrupt(decode(&w, &encode(&w)), "station member not AtStation");
+
+        let (mut w, [a, _, _, _]) = stocked_world();
+        w.packets[a.index()].loc = PacketLoc::AtStation(lm(1));
+        assert_corrupt(decode(&w, &encode(&w)), "station member at another station");
+
+        let (mut w, _) = stocked_world();
+        w.packets[b.index()].loc = PacketLoc::OnNode(n(1));
+        assert_corrupt(decode(&w, &encode(&w)), "node member on another node");
+    }
+
+    #[test]
+    fn decode_rejects_packet_listed_in_two_stores() {
+        let (mut w, [a, _, _, d]) = stocked_world();
+        let size = w.cfg.packet_size;
+        // `a` sits at station 0 and is also listed at station 1.
+        w.station_store[1] = crafted_station(&[a.index() as u64, d.index() as u64], size);
+        assert_corrupt(decode(&w, &encode(&w)), "station + station");
+
+        let (mut w, [a, _, _, _]) = stocked_world();
+        w.node_store[1].insert(a, size);
+        assert_corrupt(decode(&w, &encode(&w)), "station + node");
+    }
+
+    #[test]
+    fn decode_rejects_store_byte_count_mismatch() {
+        let (mut w, [_, _, _, d]) = stocked_world();
+        let mut wr = Writer::new();
+        wr.put_u8(0);
+        wr.put_u64(1);
+        wr.put_usize(1);
+        wr.put_u64(d.index() as u64);
+        w.station_store[1] = StationStore::decode(&mut Reader::new(&wr.into_bytes())).unwrap();
+        assert_corrupt(decode(&w, &encode(&w)), "station byte count");
     }
 }

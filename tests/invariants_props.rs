@@ -2,6 +2,7 @@
 //! router, and the conservation/ordering rules that must always hold.
 
 use dtn_flow::prelude::*;
+use dtn_flow::sim::SimSession;
 use proptest::prelude::*;
 
 /// A random but *valid* trace: per node, a sorted sequence of
@@ -97,6 +98,35 @@ fn check_invariants(outcome: &SimOutcome, name: &str) {
 
 fn prop_assert_eq_like(cond: bool, name: &str, what: &str) {
     assert!(cond, "{name}: {what}");
+}
+
+/// Station membership (DESIGN.md §16): a packet's `loc` is the truth and
+/// the station store only enumerates it, so every landmark's enumeration
+/// must be exactly {p : p.loc == AtStation(lm)}, ascending, with the byte
+/// count the packets imply.
+fn check_station_membership(world: &World, name: &str) {
+    let mut expect: Vec<Vec<PacketId>> = vec![Vec::new(); world.num_landmarks()];
+    for p in world.packets() {
+        if let PacketLoc::AtStation(lm) = p.loc {
+            expect[lm.index()].push(p.id);
+        }
+    }
+    let mut got = Vec::new();
+    for (l, want) in expect.iter().enumerate() {
+        let lm = LandmarkId::from(l);
+        world.station_packets(lm, &mut got);
+        assert_eq!(&got, want, "{name}: station {l} enumeration");
+        assert_eq!(
+            world.station_packet_count(lm),
+            want.len(),
+            "{name}: station {l} count"
+        );
+        assert_eq!(
+            world.station_used_bytes(lm),
+            want.len() as u64 * world.config().packet_size,
+            "{name}: station {l} used bytes"
+        );
+    }
 }
 
 proptest! {
@@ -257,6 +287,38 @@ proptest! {
         );
         let outcome = run_with_faults(&trace, &cfg, &wl, &plan, &mut router);
         check_invariants(&outcome, "FLOW+heavy-faults");
+    }
+
+    #[test]
+    fn station_membership_matches_packet_locations(
+        trace in arb_trace(),
+        ttl in 4_000u64..40_000,
+        rate in 50.0f64..1_000.0,
+        outages in any::<bool>(),
+        fseed in 0u64..50,
+    ) {
+        let cfg = prop_cfg(ttl, rate);
+        let wl = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());
+        let (plan, flow, name) = if outages {
+            let fc = FaultConfig {
+                station_outage_duty: 0.4,
+                mean_outage_secs: 1_500.0,
+                node_failures_per_day: 2.0,
+                seed: fseed,
+                ..FaultConfig::default()
+            };
+            (FaultPlan::generate(&fc, &trace), FlowConfig::with_degradation(), "FLOW+outages")
+        } else {
+            (FaultPlan::none(), FlowConfig::with_all_extensions(), "FLOW")
+        };
+        let mut router = FlowRouter::new(flow, trace.num_nodes(), trace.num_landmarks());
+        let mut session = SimSession::start(&trace, &cfg, &wl, &plan, &mut router, None);
+        // Check between event batches, so mid-unit and mid-outage states
+        // are covered, not just unit boundaries.
+        while session.step_events(25) {
+            check_station_membership(session.world(), name);
+        }
+        check_station_membership(session.world(), name);
     }
 
     #[test]
