@@ -1,30 +1,40 @@
 //! Regenerate the DTN-FLOW paper's tables and figures.
 //!
 //! ```text
-//! experiments [IDS...] [--quick] [--obs] [--shards N] [--dispatch M]
-//!             [--out DIR] [--list]
+//! experiments [IDS...] [--quick] [--obs] [--shards N] [--out DIR] [--list]
 //!
 //! IDS      experiment ids (table1 fig2 ... deploy ablation sched) or `all`
 //! --quick  shrink parameter sweeps (smoke mode)
 //! --obs    attach a flight recorder to the simulation-heavy sweeps and
 //!          dump per-cell observability reports (<id>_obs.json/.csv) plus
 //!          a BENCH_obs.json timing baseline
-//! --shards run the comparison sweeps under an N-shard runtime
-//!          (DESIGN.md §13); every output is byte-identical to N=1
-//! --dispatch  in-unit dispatch mode: `on` (default; shard-local batches,
-//!          DESIGN.md §15) or `off` (unit-boundary parallelism only).
-//!          Outputs are byte-identical either way.
+//! --shards run the comparison sweeps under an N-shard runtime, N in
+//!          1..=1024 (DESIGN.md §13); every output is byte-identical to N=1
 //! --out    output directory for .txt/.csv results (default: results)
 //! --list   print the known ids and exit
 //! ```
+//!
+//! A malformed command line prints the usage line and exits with code 2.
 
 use dtnflow_bench::experiments::{
-    run_experiment_sharded_dispatch, run_experiment_with_obs_sharded_dispatch, ObsCell, ALL_IDS,
+    run_experiment_sharded, run_experiment_with_obs_sharded, ObsCell, ALL_IDS,
 };
 use dtnflow_bench::timing::Stopwatch;
 use dtnflow_obs::{bench_json, report_json, BenchEntry, Snapshot};
-use dtnflow_sim::DispatchMode;
 use std::path::{Path, PathBuf};
+
+const USAGE: &str =
+    "usage: experiments [IDS...|all] [--quick] [--obs] [--shards N] [--out DIR] [--list]";
+/// Upper bound on `--shards`: the shard plan allocates one group per
+/// shard, so an unbounded count could exhaust memory before any work.
+const MAX_SHARDS: usize = 1024;
+
+/// Print `msg` and the usage line to stderr, then exit with code 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
 
 /// The per-landmark counter tables of every cell, concatenated as CSV.
 fn obs_csv(cells: &[ObsCell]) -> String {
@@ -60,7 +70,6 @@ fn main() {
     let mut quick = false;
     let mut obs = false;
     let mut shards = 1usize;
-    let mut mode = DispatchMode::default();
     let mut out_dir = PathBuf::from("results");
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -68,21 +77,15 @@ fn main() {
             "--quick" => quick = true,
             "--obs" => obs = true,
             "--shards" => {
-                shards = it
-                    .next()
-                    .expect("--shards requires a count argument")
-                    .parse()
-                    .expect("--shards requires a positive integer");
-                assert!(shards >= 1, "--shards requires a positive integer");
+                shards = match it.next().map(|n| n.parse::<usize>()) {
+                    Some(Ok(n)) if (1..=MAX_SHARDS).contains(&n) => n,
+                    _ => usage_error(&format!("--shards requires an integer in 1..={MAX_SHARDS}")),
+                };
             }
-            "--dispatch" => {
-                let word = it.next().expect("--dispatch requires a mode argument");
-                mode = DispatchMode::parse(word)
-                    .unwrap_or_else(|| panic!("unknown dispatch mode `{word}` (try on/off)"));
-            }
-            "--out" => {
-                out_dir = PathBuf::from(it.next().expect("--out requires a directory argument"));
-            }
+            "--out" => match it.next() {
+                Some(dir) => out_dir = PathBuf::from(dir),
+                None => usage_error("--out requires a directory argument"),
+            },
             "--list" => {
                 for id in ALL_IDS {
                     println!("{id}");
@@ -90,17 +93,12 @@ fn main() {
                 return;
             }
             "all" => ids.extend(ALL_IDS.iter().map(|s| s.to_string())),
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag `{other}`");
-                std::process::exit(2);
-            }
+            other if other.starts_with("--") => usage_error(&format!("unknown flag `{other}`")),
             other => ids.push(other.to_string()),
         }
     }
     if ids.is_empty() {
-        eprintln!("usage: experiments [IDS...|all] [--quick] [--obs] [--out DIR] [--list]");
-        eprintln!("known ids: {}", ALL_IDS.join(" "));
-        std::process::exit(2);
+        usage_error(&format!("known ids: {}", ALL_IDS.join(" ")));
     }
     for id in &ids {
         if !ALL_IDS.contains(&id.as_str()) {
@@ -114,12 +112,9 @@ fn main() {
         let started = Stopwatch::start();
         println!("=== {id} ===");
         let (tables, cells) = if obs {
-            run_experiment_with_obs_sharded_dispatch(id, quick, shards, mode)
+            run_experiment_with_obs_sharded(id, quick, shards)
         } else {
-            (
-                run_experiment_sharded_dispatch(id, quick, shards, mode),
-                Vec::new(),
-            )
+            (run_experiment_sharded(id, quick, shards), Vec::new())
         };
         for table in &tables {
             println!("{}", table.render());

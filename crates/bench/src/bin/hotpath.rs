@@ -36,9 +36,6 @@
 //!   landmark walk.
 //! * `dense_map_churn` — insert/lookup/iterate/remove cycle on the
 //!   `DenseMap` that backs all of the above.
-//! * `dispatch` — one in-unit window partition (`plan_window`,
-//!   DESIGN.md §15) over a synthetic claim stream with recurring nodes,
-//!   the per-window planning cost of parallel dispatch.
 //! * `station_store_churn` — one upload plus one hand-off on a station
 //!   store 8 000 packets deep (DESIGN.md §16), the store half of the
 //!   uplink and downlink transfers.
@@ -55,7 +52,6 @@ use dtnflow_obs::json::{parse, Value};
 use dtnflow_predictor::MarkovPredictor;
 use dtnflow_router::{BandwidthMatrix, FlowConfig, FlowRouter, RoutingTable};
 use dtnflow_sim::store::{SlotIndex, StationStore};
-use dtnflow_sim::{plan_window, Claim};
 use std::hint::black_box;
 use std::path::PathBuf;
 
@@ -307,29 +303,6 @@ fn bench_dense_map_churn(samples: usize, ops: u64) -> BenchResult {
     })
 }
 
-/// The §15 window partition: classify a 256-claim stream (4 shards,
-/// nodes recurring every 64 claims, ~1/32 claims node-less) into batches.
-/// This is the planning overhead the engine pays once per dispatch
-/// window before any staging work starts.
-fn bench_dispatch(samples: usize, ops: u64) -> BenchResult {
-    const WINDOW: usize = 256;
-    let mut rng = Lcg(0xD15F_A7C4);
-    let claims: Vec<Claim> = (0..WINDOW)
-        .map(|_| {
-            let lm = rng.next_lm(NUM_LANDMARKS);
-            Claim {
-                shard: lm.index() % 4,
-                node: (!lm.0.is_multiple_of(32)).then_some(u64::from(lm.0) % 64),
-            }
-        })
-        .collect();
-    run_bench("dispatch", samples, ops, move |i| {
-        let len = WINDOW - (i as usize % 7);
-        let plan = plan_window(&claims[..len]);
-        (plan.len + plan.batches.len()) as u64
-    })
-}
-
 /// One upload plus one hand-off on a station store held at 8 000
 /// packets, the mean station depth of the benchmark's 1000/day campus
 /// cell. Another 8 000 packets stand in for those on carriers: each op
@@ -519,7 +492,6 @@ fn main() {
         bench_ewma_fold(samples, ops / 10),
         bench_markov_update(samples, ops),
         bench_dense_map_churn(samples, ops),
-        bench_dispatch(samples, ops / 10),
         bench_station_store_churn(samples, ops),
     ];
     for r in &results {

@@ -72,9 +72,9 @@ pub struct ChaosInputs {
     /// count restores under any other byte-identically (the
     /// `chaos_recovery` suite proves it).
     pub shards: usize,
-    /// In-unit dispatch mode (DESIGN.md §15). Like `shards`, absent from
-    /// the fingerprint: the engine cursor is batch-agnostic, so a run
-    /// checkpointed under one mode restores under the other.
+    /// Selects nothing and is never read: in-unit dispatch was removed
+    /// (DESIGN.md §15). Kept so the frozen benchmark package, which
+    /// builds this struct literally, compiles.
     pub dispatch: DispatchMode,
 }
 
@@ -96,21 +96,13 @@ impl ChaosInputs {
             workload,
             plan,
             shards: 1,
-            dispatch: DispatchMode::default(),
+            dispatch: DispatchMode,
         }
     }
 
     /// The same inputs under an `n`-shard runtime.
     pub fn with_shards(self, n: usize) -> ChaosInputs {
         ChaosInputs { shards: n, ..self }
-    }
-
-    /// The same inputs under an explicit in-unit dispatch mode.
-    pub fn with_dispatch(self, mode: DispatchMode) -> ChaosInputs {
-        ChaosInputs {
-            dispatch: mode,
-            ..self
-        }
     }
 
     /// Number of whole time units in the run (kill points live strictly
@@ -171,7 +163,7 @@ impl ChaosInputs {
             workload,
             plan,
             shards: 1,
-            dispatch: DispatchMode::default(),
+            dispatch: DispatchMode,
         }
     }
 }
@@ -387,8 +379,10 @@ pub fn run_segment(
             s
         }
     };
-    session.set_dispatch(inp.dispatch);
-    if let Some((_, unit)) = parsed {
+    if let Some((file, unit)) = parsed {
+        // The session is rebuilt: release the parsed copy of every section
+        // now instead of holding it for the rest of the segment.
+        drop(file);
         let total = snapshot.map(|b| b.len() as u64).unwrap_or(0);
         session.emit(|at| SimEvent::Restored {
             at,

@@ -6,13 +6,13 @@
 use crate::experiments::ObsCell;
 use crate::report::Table;
 use crate::runners::{
-    parallel_map, run_method_observed_sharded_dispatch, run_method_with_faults_sharded_dispatch,
-    Method, MethodOutcome,
+    parallel_map, run_method_observed_sharded, run_method_with_faults_sharded, Method,
+    MethodOutcome,
 };
 use crate::scenarios::Scenario;
 use dtnflow_core::config::SimConfig;
 use dtnflow_obs::Snapshot;
-use dtnflow_sim::{DispatchMode, FaultPlan};
+use dtnflow_sim::FaultPlan;
 
 /// One sweep: x-axis points × all six methods → the four metric tables,
 /// plus (when `obs`) one observability snapshot per (point, method) cell.
@@ -26,7 +26,6 @@ fn sweep(
     points: &[(String, SimConfig)],
     obs: bool,
     shards: usize,
-    mode: DispatchMode,
 ) -> (Vec<Table>, Vec<ObsCell>) {
     // Flatten (point, method) into independent jobs.
     let jobs: Vec<(usize, Method)> = (0..points.len())
@@ -36,26 +35,24 @@ fn sweep(
         let cfg = &points[p].1;
         let wl = scenario.workload(cfg);
         if obs {
-            let (o, snap, _stats) = run_method_observed_sharded_dispatch(
+            let (o, snap) = run_method_observed_sharded(
                 &scenario.trace,
                 cfg,
                 &wl,
                 &FaultPlan::none(),
                 m,
                 shards,
-                mode,
             );
             (o, Some(snap))
         } else {
             (
-                run_method_with_faults_sharded_dispatch(
+                run_method_with_faults_sharded(
                     &scenario.trace,
                     cfg,
                     &wl,
                     &FaultPlan::none(),
                     m,
                     shards,
-                    mode,
                 ),
                 None,
             )
@@ -147,202 +144,109 @@ fn rate_points(base: &SimConfig, seed: u64, quick: bool) -> Vec<(String, SimConf
         .collect()
 }
 
-fn memory_campus(
-    quick: bool,
-    obs: bool,
-    shards: usize,
-    mode: DispatchMode,
-) -> (Vec<Table>, Vec<ObsCell>) {
+fn memory_campus(quick: bool, obs: bool, shards: usize) -> (Vec<Table>, Vec<ObsCell>) {
     let s = Scenario::campus();
     let pts = memory_points(&s.base_cfg, 0xF11, quick);
-    sweep(&s, "fig11", "memory (kB)", &pts, obs, shards, mode)
+    sweep(&s, "fig11", "memory (kB)", &pts, obs, shards)
 }
 
-fn memory_bus(
-    quick: bool,
-    obs: bool,
-    shards: usize,
-    mode: DispatchMode,
-) -> (Vec<Table>, Vec<ObsCell>) {
+fn memory_bus(quick: bool, obs: bool, shards: usize) -> (Vec<Table>, Vec<ObsCell>) {
     let s = Scenario::bus();
     let pts = memory_points(&s.base_cfg, 0xF12, quick);
-    sweep(&s, "fig12", "memory (kB)", &pts, obs, shards, mode)
+    sweep(&s, "fig12", "memory (kB)", &pts, obs, shards)
 }
 
-fn rate_campus(
-    quick: bool,
-    obs: bool,
-    shards: usize,
-    mode: DispatchMode,
-) -> (Vec<Table>, Vec<ObsCell>) {
+fn rate_campus(quick: bool, obs: bool, shards: usize) -> (Vec<Table>, Vec<ObsCell>) {
     let s = Scenario::campus();
     let pts = rate_points(&s.base_cfg, 0xF13, quick);
-    sweep(&s, "fig13", "packets/landmark/day", &pts, obs, shards, mode)
+    sweep(&s, "fig13", "packets/landmark/day", &pts, obs, shards)
 }
 
-fn rate_bus(
-    quick: bool,
-    obs: bool,
-    shards: usize,
-    mode: DispatchMode,
-) -> (Vec<Table>, Vec<ObsCell>) {
+fn rate_bus(quick: bool, obs: bool, shards: usize) -> (Vec<Table>, Vec<ObsCell>) {
     let s = Scenario::bus();
     let pts = rate_points(&s.base_cfg, 0xF14, quick);
-    sweep(&s, "fig14", "packets/landmark/day", &pts, obs, shards, mode)
+    sweep(&s, "fig14", "packets/landmark/day", &pts, obs, shards)
 }
 
 /// Fig. 11: campus, memory 1200..=3000 kB, rate 500.
 pub fn memory_sweep_campus(quick: bool) -> Vec<Table> {
-    memory_campus(quick, false, 1, DispatchMode::default()).0
+    memory_campus(quick, false, 1).0
 }
 
 /// Fig. 11 under a shard runtime; byte-identical for every shard count.
 pub fn memory_sweep_campus_sharded(quick: bool, shards: usize) -> Vec<Table> {
-    memory_sweep_campus_sharded_dispatch(quick, shards, DispatchMode::default())
-}
-
-/// [`memory_sweep_campus_sharded`] with an explicit [`DispatchMode`];
-/// byte-identical across modes (DESIGN.md §15).
-pub fn memory_sweep_campus_sharded_dispatch(
-    quick: bool,
-    shards: usize,
-    mode: DispatchMode,
-) -> Vec<Table> {
-    memory_campus(quick, false, shards, mode).0
+    memory_campus(quick, false, shards).0
 }
 
 /// Fig. 11 with per-cell observability snapshots.
 pub fn memory_sweep_campus_obs(quick: bool) -> (Vec<Table>, Vec<ObsCell>) {
-    memory_campus(quick, true, 1, DispatchMode::default())
+    memory_campus(quick, true, 1)
 }
 
 /// Fig. 11 with snapshots, under a shard runtime. Tables and snapshots
 /// are byte-identical for every shard count (`shard_differential` suite).
 pub fn memory_sweep_campus_obs_sharded(quick: bool, shards: usize) -> (Vec<Table>, Vec<ObsCell>) {
-    memory_sweep_campus_obs_sharded_dispatch(quick, shards, DispatchMode::default())
-}
-
-/// [`memory_sweep_campus_obs_sharded`] with an explicit [`DispatchMode`].
-pub fn memory_sweep_campus_obs_sharded_dispatch(
-    quick: bool,
-    shards: usize,
-    mode: DispatchMode,
-) -> (Vec<Table>, Vec<ObsCell>) {
-    memory_campus(quick, true, shards, mode)
+    memory_campus(quick, true, shards)
 }
 
 /// Fig. 12: bus, memory 1200..=3000 kB, rate 500.
 pub fn memory_sweep_bus(quick: bool) -> Vec<Table> {
-    memory_bus(quick, false, 1, DispatchMode::default()).0
+    memory_bus(quick, false, 1).0
 }
 
 /// Fig. 12 under a shard runtime; byte-identical for every shard count.
 pub fn memory_sweep_bus_sharded(quick: bool, shards: usize) -> Vec<Table> {
-    memory_sweep_bus_sharded_dispatch(quick, shards, DispatchMode::default())
-}
-
-/// [`memory_sweep_bus_sharded`] with an explicit [`DispatchMode`].
-pub fn memory_sweep_bus_sharded_dispatch(
-    quick: bool,
-    shards: usize,
-    mode: DispatchMode,
-) -> Vec<Table> {
-    memory_bus(quick, false, shards, mode).0
+    memory_bus(quick, false, shards).0
 }
 
 /// Fig. 12 with per-cell observability snapshots.
 pub fn memory_sweep_bus_obs(quick: bool) -> (Vec<Table>, Vec<ObsCell>) {
-    memory_bus(quick, true, 1, DispatchMode::default())
+    memory_bus(quick, true, 1)
 }
 
 /// Fig. 12 with snapshots, under a shard runtime.
 pub fn memory_sweep_bus_obs_sharded(quick: bool, shards: usize) -> (Vec<Table>, Vec<ObsCell>) {
-    memory_sweep_bus_obs_sharded_dispatch(quick, shards, DispatchMode::default())
-}
-
-/// [`memory_sweep_bus_obs_sharded`] with an explicit [`DispatchMode`].
-pub fn memory_sweep_bus_obs_sharded_dispatch(
-    quick: bool,
-    shards: usize,
-    mode: DispatchMode,
-) -> (Vec<Table>, Vec<ObsCell>) {
-    memory_bus(quick, true, shards, mode)
+    memory_bus(quick, true, shards)
 }
 
 /// Fig. 13: campus, rate 100..=1000, memory 2000 kB.
 pub fn rate_sweep_campus(quick: bool) -> Vec<Table> {
-    rate_campus(quick, false, 1, DispatchMode::default()).0
+    rate_campus(quick, false, 1).0
 }
 
 /// Fig. 13 under a shard runtime; byte-identical for every shard count.
 pub fn rate_sweep_campus_sharded(quick: bool, shards: usize) -> Vec<Table> {
-    rate_sweep_campus_sharded_dispatch(quick, shards, DispatchMode::default())
-}
-
-/// [`rate_sweep_campus_sharded`] with an explicit [`DispatchMode`].
-pub fn rate_sweep_campus_sharded_dispatch(
-    quick: bool,
-    shards: usize,
-    mode: DispatchMode,
-) -> Vec<Table> {
-    rate_campus(quick, false, shards, mode).0
+    rate_campus(quick, false, shards).0
 }
 
 /// Fig. 13 with per-cell observability snapshots.
 pub fn rate_sweep_campus_obs(quick: bool) -> (Vec<Table>, Vec<ObsCell>) {
-    rate_campus(quick, true, 1, DispatchMode::default())
+    rate_campus(quick, true, 1)
 }
 
 /// Fig. 13 with snapshots, under a shard runtime.
 pub fn rate_sweep_campus_obs_sharded(quick: bool, shards: usize) -> (Vec<Table>, Vec<ObsCell>) {
-    rate_sweep_campus_obs_sharded_dispatch(quick, shards, DispatchMode::default())
-}
-
-/// [`rate_sweep_campus_obs_sharded`] with an explicit [`DispatchMode`].
-pub fn rate_sweep_campus_obs_sharded_dispatch(
-    quick: bool,
-    shards: usize,
-    mode: DispatchMode,
-) -> (Vec<Table>, Vec<ObsCell>) {
-    rate_campus(quick, true, shards, mode)
+    rate_campus(quick, true, shards)
 }
 
 /// Fig. 14: bus, rate 100..=1000, memory 2000 kB.
 pub fn rate_sweep_bus(quick: bool) -> Vec<Table> {
-    rate_bus(quick, false, 1, DispatchMode::default()).0
+    rate_bus(quick, false, 1).0
 }
 
 /// Fig. 14 under a shard runtime; byte-identical for every shard count.
 pub fn rate_sweep_bus_sharded(quick: bool, shards: usize) -> Vec<Table> {
-    rate_sweep_bus_sharded_dispatch(quick, shards, DispatchMode::default())
-}
-
-/// [`rate_sweep_bus_sharded`] with an explicit [`DispatchMode`].
-pub fn rate_sweep_bus_sharded_dispatch(
-    quick: bool,
-    shards: usize,
-    mode: DispatchMode,
-) -> Vec<Table> {
-    rate_bus(quick, false, shards, mode).0
+    rate_bus(quick, false, shards).0
 }
 
 /// Fig. 14 with per-cell observability snapshots.
 pub fn rate_sweep_bus_obs(quick: bool) -> (Vec<Table>, Vec<ObsCell>) {
-    rate_bus(quick, true, 1, DispatchMode::default())
+    rate_bus(quick, true, 1)
 }
 
 /// Fig. 14 with snapshots, under a shard runtime.
 pub fn rate_sweep_bus_obs_sharded(quick: bool, shards: usize) -> (Vec<Table>, Vec<ObsCell>) {
-    rate_sweep_bus_obs_sharded_dispatch(quick, shards, DispatchMode::default())
-}
-
-/// [`rate_sweep_bus_obs_sharded`] with an explicit [`DispatchMode`].
-pub fn rate_sweep_bus_obs_sharded_dispatch(
-    quick: bool,
-    shards: usize,
-    mode: DispatchMode,
-) -> (Vec<Table>, Vec<ObsCell>) {
-    rate_bus(quick, true, shards, mode)
+    rate_bus(quick, true, shards)
 }
 
 #[cfg(test)]

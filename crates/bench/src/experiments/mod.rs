@@ -14,7 +14,6 @@ pub mod trace_analysis;
 
 use crate::report::Table;
 use dtnflow_obs::Snapshot;
-use dtnflow_sim::DispatchMode;
 
 /// One experiment cell's observability export: the cell label (sweep
 /// point × method) and its flight-recorder snapshot.
@@ -78,23 +77,11 @@ pub fn run_experiment(id: &str, quick: bool) -> Vec<Table> {
 /// runtime (DESIGN.md §13). Tables are byte-identical for every `shards`
 /// value; experiments without per-landmark unit work ignore the setting.
 pub fn run_experiment_sharded(id: &str, quick: bool, shards: usize) -> Vec<Table> {
-    run_experiment_sharded_dispatch(id, quick, shards, DispatchMode::default())
-}
-
-/// [`run_experiment_sharded`] with an explicit in-unit [`DispatchMode`]
-/// (DESIGN.md §15). Tables are byte-identical across modes; the
-/// differential gate runs both.
-pub fn run_experiment_sharded_dispatch(
-    id: &str,
-    quick: bool,
-    shards: usize,
-    mode: DispatchMode,
-) -> Vec<Table> {
     match id {
-        "fig11" => comparison::memory_sweep_campus_sharded_dispatch(quick, shards, mode),
-        "fig12" => comparison::memory_sweep_bus_sharded_dispatch(quick, shards, mode),
-        "fig13" => comparison::rate_sweep_campus_sharded_dispatch(quick, shards, mode),
-        "fig14" => comparison::rate_sweep_bus_sharded_dispatch(quick, shards, mode),
+        "fig11" => comparison::memory_sweep_campus_sharded(quick, shards),
+        "fig12" => comparison::memory_sweep_bus_sharded(quick, shards),
+        "fig13" => comparison::rate_sweep_campus_sharded(quick, shards),
+        "fig14" => comparison::rate_sweep_bus_sharded(quick, shards),
         other => run_experiment(other, quick),
     }
 }
@@ -121,23 +108,11 @@ pub fn run_experiment_with_obs_sharded(
     quick: bool,
     shards: usize,
 ) -> (Vec<Table>, Vec<ObsCell>) {
-    run_experiment_with_obs_sharded_dispatch(id, quick, shards, DispatchMode::default())
-}
-
-/// [`run_experiment_with_obs_sharded`] with an explicit in-unit
-/// [`DispatchMode`]. Tables *and* snapshots are byte-identical across
-/// modes and shard counts.
-pub fn run_experiment_with_obs_sharded_dispatch(
-    id: &str,
-    quick: bool,
-    shards: usize,
-    mode: DispatchMode,
-) -> (Vec<Table>, Vec<ObsCell>) {
     match id {
-        "fig11" => comparison::memory_sweep_campus_obs_sharded_dispatch(quick, shards, mode),
-        "fig12" => comparison::memory_sweep_bus_obs_sharded_dispatch(quick, shards, mode),
-        "fig13" => comparison::rate_sweep_campus_obs_sharded_dispatch(quick, shards, mode),
-        "fig14" => comparison::rate_sweep_bus_obs_sharded_dispatch(quick, shards, mode),
+        "fig11" => comparison::memory_sweep_campus_obs_sharded(quick, shards),
+        "fig12" => comparison::memory_sweep_bus_obs_sharded(quick, shards),
+        "fig13" => comparison::rate_sweep_campus_obs_sharded(quick, shards),
+        "fig14" => comparison::rate_sweep_bus_obs_sharded(quick, shards),
         other => run_experiment_with_obs(other, quick),
     }
 }

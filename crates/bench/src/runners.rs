@@ -9,8 +9,7 @@ use dtnflow_mobility::Trace;
 use dtnflow_obs::{Recorder, Snapshot, DEFAULT_RING_CAPACITY};
 use dtnflow_router::{FlowConfig, FlowRouter};
 use dtnflow_sim::{
-    run_traced_sharded_dispatch, run_with_faults_sharded_dispatch, run_with_workload, DispatchMode,
-    FaultPlan, Router, Workload,
+    run_traced_sharded, run_with_faults_sharded, run_with_workload, FaultPlan, Router, Workload,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -117,32 +116,8 @@ pub fn run_method_with_faults_sharded(
     method: Method,
     shards: usize,
 ) -> MethodOutcome {
-    run_method_with_faults_sharded_dispatch(
-        trace,
-        cfg,
-        workload,
-        plan,
-        method,
-        shards,
-        DispatchMode::default(),
-    )
-}
-
-/// [`run_method_with_faults_sharded`] with an explicit [`DispatchMode`]
-/// (DESIGN.md §15). Outcome-neutral: the differential battery runs both
-/// modes.
-pub fn run_method_with_faults_sharded_dispatch(
-    trace: &Trace,
-    cfg: &SimConfig,
-    workload: &Workload,
-    plan: &FaultPlan,
-    method: Method,
-    shards: usize,
-    mode: DispatchMode,
-) -> MethodOutcome {
     let mut router = method.build(trace.num_nodes(), trace.num_landmarks());
-    let out =
-        run_with_faults_sharded_dispatch(trace, cfg, workload, plan, router.as_mut(), shards, mode);
+    let out = run_with_faults_sharded(trace, cfg, workload, plan, router.as_mut(), shards);
     MethodOutcome {
         method,
         summary: out.metrics.summary(),
@@ -178,32 +153,8 @@ pub fn run_method_observed_sharded(
     method: Method,
     shards: usize,
 ) -> (MethodOutcome, Snapshot) {
-    let (outcome, snapshot, _) = run_method_observed_sharded_dispatch(
-        trace,
-        cfg,
-        workload,
-        plan,
-        method,
-        shards,
-        DispatchMode::default(),
-    );
-    (outcome, snapshot)
-}
-
-/// [`run_method_observed_sharded`] with an explicit [`DispatchMode`],
-/// also returning the run's in-unit dispatch telemetry (window/batch
-/// counts and the batch-size histogram) for the shard bench artifact.
-pub fn run_method_observed_sharded_dispatch(
-    trace: &Trace,
-    cfg: &SimConfig,
-    workload: &Workload,
-    plan: &FaultPlan,
-    method: Method,
-    shards: usize,
-    mode: DispatchMode,
-) -> (MethodOutcome, Snapshot, dtnflow_sim::DispatchStats) {
     let mut router = method.build(trace.num_nodes(), trace.num_landmarks());
-    let out = run_traced_sharded_dispatch(
+    let out = run_traced_sharded(
         trace,
         cfg,
         workload,
@@ -211,7 +162,6 @@ pub fn run_method_observed_sharded_dispatch(
         router.as_mut(),
         Box::new(Recorder::new(DEFAULT_RING_CAPACITY)),
         shards,
-        mode,
     );
     let outcome = MethodOutcome {
         method,
@@ -225,7 +175,7 @@ pub fn run_method_observed_sharded_dispatch(
         .and_then(Recorder::downcast)
         .map(|r| r.snapshot())
         .unwrap_or_default();
-    (outcome, snapshot, out.dispatch)
+    (outcome, snapshot)
 }
 
 /// Map a function over items using all available cores (sweep points are

@@ -2,9 +2,8 @@
 //! arbitrary worlds (seeds), fault plans, shard counts, partition maps
 //! and kill schedules — the sharded engine must reproduce the
 //! sequential artifacts byte for byte in every draw, including runs
-//! whose shard count changes at every checkpoint/restore boundary,
-//! plus the in-unit dispatch properties (DESIGN.md §15): window-cap
-//! cuts and mid-unit checkpoints must both be invisible in the output.
+//! whose shard count changes at every checkpoint/restore boundary and
+//! runs checkpointed mid-unit.
 
 use dtnflow_bench::chaos::{run_segment, run_straight, ChaosInputs, SegmentEnd};
 use dtnflow_obs::{Recorder, DEFAULT_RING_CAPACITY};
@@ -165,59 +164,16 @@ proptest! {
         );
     }
 
-    /// Batch-boundary property (DESIGN.md §15): any staged-window cap —
-    /// down to one event per window — moves the window cuts around but
-    /// is invisible in every output byte, under any fault mix.
-    #[test]
-    fn any_window_cap_is_byte_identical(
-        seed in 1u64..64,
-        outages in any::<bool>(),
-        churn in any::<bool>(),
-        fault_seed in 1u64..64,
-        shards in 2usize..9,
-        cap in 1usize..48,
-    ) {
-        let inp = tiny_with(seed, outages, churn, fault_seed);
-        let baseline = run_straight(&inp).expect("straight run");
-        let mut router = FlowRouter::new(
-            inp.flow.clone(),
-            inp.trace.num_nodes(),
-            inp.trace.num_landmarks(),
-        );
-        let mut session = start_bare(&inp, &mut router, shards);
-        session.set_dispatch_window(cap);
-        session.run_to_end();
-        let got = bare_state(session);
-        // The observed baseline's state encoding is canonical bytes, not
-        // the debug string; rebuild the sequential debug comparable.
-        let mut seq_router = FlowRouter::new(
-            inp.flow.clone(),
-            inp.trace.num_nodes(),
-            inp.trace.num_landmarks(),
-        );
-        let mut seq = start_bare(&inp, &mut seq_router, 1);
-        seq.run_to_end();
-        let want = bare_state(seq);
-        prop_assert!(baseline.conservation_holds());
-        prop_assert_eq!(
-            got, want,
-            "window cap {} at shards={} diverged (seed={} outages={} churn={})",
-            cap, shards, seed, outages, churn
-        );
-    }
-
-    /// Mid-unit checkpoint property (DESIGN.md §15): pause anywhere —
-    /// after any event count, mid-window included — checkpoint, restore
-    /// under a different shard count and window cap, and the finished
-    /// run matches the straight one; the engine cursor itself
-    /// round-trips byte-identically through the restore.
+    /// Mid-unit checkpoint property: pause anywhere — after any event
+    /// count — checkpoint, restore under a different shard count, and
+    /// the finished run matches the straight one; the engine cursor
+    /// itself round-trips byte-identically through the restore.
     #[test]
     fn mid_unit_checkpoint_restores_byte_identically(
         seed in 1u64..64,
         steps in 1usize..600,
         ckpt_shards in 1usize..9,
         resume_shards in 1usize..9,
-        resume_cap in 1usize..32,
     ) {
         let inp = ChaosInputs::tiny(seed, FaultPlan::none());
         let mut straight_router = FlowRouter::new(
@@ -272,7 +228,7 @@ proptest! {
         er.finish("engine").expect("engine bytes consumed");
         wr.finish("world").expect("world bytes consumed");
 
-        // The cursor is batch-agnostic: re-encoding the freshly resumed
+        // The cursor is plan-agnostic: re-encoding the freshly resumed
         // engine reproduces the checkpointed bytes exactly.
         let mut ew2 = Writer::new();
         resumed.encode_engine(&mut ew2);
@@ -282,13 +238,12 @@ proptest! {
             steps, ckpt_shards, resume_shards
         );
 
-        resumed.set_dispatch_window(resume_cap);
         resumed.run_to_end();
         let got = bare_state(resumed);
         prop_assert_eq!(
             got, want,
-            "mid-unit checkpoint after {} events ({} -> {} shards, cap {}) diverged",
-            steps, ckpt_shards, resume_shards, resume_cap
+            "mid-unit checkpoint after {} events ({} -> {} shards) diverged",
+            steps, ckpt_shards, resume_shards
         );
     }
 }

@@ -412,7 +412,7 @@ pub struct FlowStats {
 
 /// Timer-token namespace tag for station-recovery retries (see
 /// [`FlowRouter::retry_token`]): retries ride the engine timing wheel as
-/// ordinary shard-local timer events, distinguished from dead-end timers
+/// ordinary timer events, distinguished from dead-end timers
 /// by this bit.
 const RETRY_TOKEN_TAG: u64 = 1 << 63;
 
@@ -2183,7 +2183,7 @@ impl Router for FlowRouter {
         };
         // Recompute routes with the landmark available again, then hand
         // the stranded-packet scan to the timing wheel: the retry fires
-        // as an ordinary shard-local timer event — immediately with the
+        // as an ordinary timer event — immediately with the
         // default zero delay, or after the configured grace period (in
         // which case it survives checkpoints like any pending timer).
         self.recompute_tables(lm, world);

@@ -1,10 +1,10 @@
 //! Deterministic sharding runtime (DESIGN.md §13).
 //!
 //! The sharded engine follows a *compute-parallel, commit-ordered* model:
-//! shards compute independently within a time unit and their effects are
-//! committed in a fixed order (ascending shard, ascending entity id), so
-//! every output byte is identical for any shard count. This crate holds
-//! the two pieces that model needs:
+//! shards compute independently at each time-unit boundary and their
+//! effects are committed in a fixed order (ascending shard, ascending
+//! entity id), so every output byte is identical for any shard count.
+//! This crate holds the two pieces that model needs:
 //!
 //! * [`ShardPlan`] — a validated partition of landmark indexes into
 //!   shards (contiguous, round-robin, or arbitrary maps for adversarial
@@ -12,10 +12,12 @@
 //! * [`ShardExec`] — the **one sanctioned spawn/join site** in the
 //!   workspace (detlint C1 allowlists exactly `src/exec.rs`): a scoped
 //!   fan-out whose results are consumed in part order, never in
-//!   completion order;
-//! * [`batch`] — the in-unit window planner (DESIGN.md §15): groups
-//!   runs of shard-local events into per-shard execution batches that
-//!   stage concurrently and commit in exact merge order.
+//!   completion order.
+//!
+//! Only the unit-boundary maintenance fans out. Between boundaries,
+//! arrivals and departures hand nodes from landmark to landmark across
+//! shards, so events dispatch one at a time in schedule order
+//! (DESIGN.md §15 records why in-unit dispatch was removed).
 //!
 //! Nothing here may influence *what* is computed — only *where*. The
 //! differential test battery in `crates/bench` holds that line by
@@ -26,11 +28,9 @@
 // clippy enforces the same invariant at compile time.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod batch;
 pub mod exec;
 pub mod plan;
 
-pub use batch::{plan_window, Batch, Claim, DispatchMode, DispatchStats, WindowPlan};
 pub use exec::ShardExec;
 pub use plan::{ShardPlan, ShardPlanError};
 

@@ -5,7 +5,7 @@
 use crate::faults::FaultPlan;
 use crate::router::Router;
 use crate::workload::Workload;
-use crate::world::{World, WorldView};
+use crate::world::World;
 use dtnflow_core::config::SimConfig;
 use dtnflow_core::ids::{LandmarkId, NodeId};
 use dtnflow_core::metrics::RunMetrics;
@@ -14,11 +14,8 @@ use dtnflow_core::time::{SimDuration, SimTime};
 use dtnflow_core::wheel::TimingWheel;
 use dtnflow_mobility::Trace;
 use dtnflow_obs::{Recorder, SimEvent, TraceSink};
-use dtnflow_shard::{
-    plan_window, Claim, DispatchMode, DispatchStats, ShardExec, ShardPlan, Sharding,
-};
+use dtnflow_shard::{ShardExec, ShardPlan, Sharding};
 use dtnflow_snapshot::{Reader, SnapshotError, Writer};
-use std::collections::BTreeMap;
 
 /// What one simulation run produced.
 #[derive(Debug)]
@@ -32,11 +29,13 @@ pub struct SimOutcome {
     /// (downcast it — e.g. with `Recorder::downcast` — to read the
     /// recorded events and counters).
     pub trace: Option<Box<dyn TraceSink>>,
-    /// In-unit parallel dispatch diagnostics (DESIGN.md §15): window and
-    /// batch counts plus a batch-size histogram. Pure telemetry — never
-    /// checkpointed, and the differential battery ignores it.
-    pub dispatch: DispatchStats,
 }
+
+/// A placeholder that selects nothing. In-unit dispatch was removed
+/// (DESIGN.md §15); this field-less type exists only so the frozen
+/// benchmark package (`perfbench/`), which still names it, compiles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DispatchMode;
 
 /// Event kinds, ordered by dispatch priority within a timestamp: unit
 /// boundaries first (bandwidth snapshots), then station liveness flips
@@ -73,234 +72,6 @@ struct Event {
     at: SimTime,
     kind: EventKind,
     seq: u64,
-}
-
-/// Which per-shard queue an event belongs to (DESIGN.md §13): landmark-
-/// anchored events go to their landmark's shard queue (offset by one),
-/// everything else — unit boundaries, node fault flips, timers,
-/// observations — to the control queue at index 0.
-fn queue_of(kind: EventKind, plan: &ShardPlan) -> usize {
-    match kind {
-        EventKind::StationDown(l)
-        | EventKind::StationUp(l)
-        | EventKind::Depart(_, l, _)
-        | EventKind::Arrive(_, l, _) => 1 + plan.shard_of(l.index()),
-        EventKind::Generate(src, _) => 1 + plan.shard_of(src.index()),
-        EventKind::TimeUnit(_)
-        | EventKind::NodeFail(_)
-        | EventKind::NodeRecover(_)
-        | EventKind::Timer(_)
-        | EventKind::Observe(_) => 0,
-    }
-}
-
-/// The static schedule partitioned by shard ownership: one control queue
-/// plus one queue per shard, each holding its events in ascending
-/// `(at, kind, seq)` order with a consume cursor.
-///
-/// Dispatch is a k-way merge over the queue heads. Every event carries a
-/// unique total-order key (the build sequence number breaks all ties),
-/// so the merge reproduces the globally sorted order *exactly* — the
-/// partition changes where events live, never when they dispatch. That
-/// makes the consumed-event count (`dispatched`) shard-count-agnostic,
-/// which is what the checkpoint cursor encodes: a snapshot taken under
-/// one plan restores under any other.
-#[derive(Debug)]
-struct ShardQueues {
-    /// `queues[0]` is the control queue; `queues[1 + s]` is shard `s`'s.
-    queues: Vec<(Vec<Event>, usize)>,
-    /// Static events consumed so far, in merge (== global sorted) order.
-    dispatched: usize,
-}
-
-impl ShardQueues {
-    /// Partition a globally sorted event list by shard ownership, then
-    /// mark the first `consumed` events (in global order) as already
-    /// dispatched — the resume path. A stable walk of a sorted list
-    /// keeps every queue sorted.
-    fn build(events: Vec<Event>, plan: &ShardPlan, consumed: usize) -> ShardQueues {
-        let mut queues: Vec<(Vec<Event>, usize)> = (0..1 + plan.num_shards())
-            .map(|_| (Vec::new(), 0))
-            .collect();
-        for (i, ev) in events.into_iter().enumerate() {
-            let q = &mut queues[queue_of(ev.kind, plan)];
-            q.0.push(ev);
-            if i < consumed {
-                q.1 += 1;
-            }
-        }
-        ShardQueues {
-            queues,
-            dispatched: consumed,
-        }
-    }
-
-    /// The next event in merge order, without consuming it.
-    fn peek(&self) -> Option<Event> {
-        self.queues
-            .iter()
-            .filter_map(|(evs, cur)| evs.get(*cur).copied())
-            .min()
-    }
-
-    /// Consume and return the next event in merge order.
-    fn pop(&mut self) -> Option<Event> {
-        let mut best: Option<(usize, Event)> = None;
-        for (i, (evs, cur)) in self.queues.iter().enumerate() {
-            if let Some(&e) = evs.get(*cur) {
-                let better = match best {
-                    None => true,
-                    Some((_, b)) => e < b,
-                };
-                if better {
-                    best = Some((i, e));
-                }
-            }
-        }
-        let (i, e) = best?;
-        self.queues[i].1 += 1;
-        self.dispatched += 1;
-        Some(e)
-    }
-
-    /// Static events consumed so far (the checkpoint cursor).
-    fn dispatched(&self) -> usize {
-        self.dispatched
-    }
-
-    /// Copy the next run of events in merge order into `out` *without*
-    /// consuming them, stopping at `max` events or at the first event
-    /// `keep` rejects. `cursors` is caller-owned scratch (cleared here),
-    /// so window planning allocates nothing in steady state.
-    fn peek_run(
-        &self,
-        cursors: &mut Vec<usize>,
-        max: usize,
-        mut keep: impl FnMut(Event) -> bool,
-        out: &mut Vec<Event>,
-    ) {
-        cursors.clear();
-        cursors.extend(self.queues.iter().map(|(_, c)| *c));
-        while out.len() < max {
-            let mut best: Option<(usize, Event)> = None;
-            for (i, (evs, _)) in self.queues.iter().enumerate() {
-                if let Some(&e) = evs.get(cursors[i]) {
-                    let better = match best {
-                        None => true,
-                        Some((_, b)) => e < b,
-                    };
-                    if better {
-                        best = Some((i, e));
-                    }
-                }
-            }
-            let Some((i, e)) = best else { break };
-            if !keep(e) {
-                break;
-            }
-            cursors[i] += 1;
-            out.push(e);
-        }
-    }
-}
-
-/// Classify an event for the window planner (DESIGN.md §15): its owning
-/// shard and the node it touches. `None` for control events — they are
-/// barriers and never enter windows.
-fn claim_of(kind: EventKind, plan: &ShardPlan) -> Option<Claim> {
-    match kind {
-        EventKind::StationDown(l) | EventKind::StationUp(l) => Some(Claim {
-            shard: plan.shard_of(l.index()),
-            node: None,
-        }),
-        EventKind::Depart(n, l, _) | EventKind::Arrive(n, l, _) => Some(Claim {
-            shard: plan.shard_of(l.index()),
-            node: Some(n.index() as u64),
-        }),
-        EventKind::Generate(src, _) => Some(Claim {
-            shard: plan.shard_of(src.index()),
-            node: None,
-        }),
-        EventKind::TimeUnit(_)
-        | EventKind::NodeFail(_)
-        | EventKind::NodeRecover(_)
-        | EventKind::Timer(_)
-        | EventKind::Observe(_) => None,
-    }
-}
-
-/// The read-side resolution of one windowed event, computed by a shard
-/// worker against the frozen [`WorldView`] (DESIGN.md §15). The commit
-/// phase consumes it instead of re-deriving the same answers from the
-/// live world; debug builds assert the two agree.
-#[derive(Debug)]
-enum Staged {
-    /// Arrival: suppression (node failed) plus the encounter-partner
-    /// list, ascending by id — exactly what the live dispatch reads from
-    /// `World::nodes_at` after the arrive lands.
-    Arrive {
-        suppressed: bool,
-        partners: Vec<NodeId>,
-    },
-    /// Departure: whether the node is actually present (its arrival may
-    /// have been swallowed by a failure, or churn removed it mid-visit).
-    Depart { present: bool },
-    /// No read-side to precompute (generations, station flips): commit
-    /// runs the ordinary live dispatch.
-    Pass,
-}
-
-/// Stage one shard's batch against the frozen view: resolve each
-/// event's read-side, tracking in-window moves of this shard's own
-/// nodes in a local overlay (`moved`). The window planner guarantees no
-/// other shard touches these nodes inside the window, and control
-/// events (node fail/recover, timers) never enter windows, so the
-/// frozen view plus the overlay is exact. Pure — no world mutation, no
-/// router access.
-fn stage_batch(view: WorldView<'_>, window: &[Event], positions: &[usize]) -> Vec<(usize, Staged)> {
-    let mut moved: BTreeMap<NodeId, Option<LandmarkId>> = BTreeMap::new();
-    let mut out = Vec::with_capacity(positions.len());
-    for &p in positions {
-        let staged =
-            match window[p].kind {
-                EventKind::Arrive(n, l, _) => {
-                    let suppressed = view.node_is_failed(n);
-                    let mut partners: Vec<NodeId> = Vec::new();
-                    if !suppressed {
-                        // Frozen occupancy of `l`, minus nodes the overlay
-                        // moved away, plus nodes it moved in.
-                        partners.extend(view.nodes_at(l).iter().filter(|&m| {
-                            m != n && moved.get(&m).is_none_or(|loc| *loc == Some(l))
-                        }));
-                        for (&m, &loc) in moved.iter() {
-                            if loc == Some(l) && m != n && !view.nodes_at(l).contains(m) {
-                                partners.push(m);
-                            }
-                        }
-                        partners.sort_unstable();
-                        moved.insert(n, Some(l));
-                    }
-                    Staged::Arrive {
-                        suppressed,
-                        partners,
-                    }
-                }
-                EventKind::Depart(n, l, _) => {
-                    let loc = moved
-                        .get(&n)
-                        .copied()
-                        .unwrap_or_else(|| view.node_location(n));
-                    let present = loc == Some(l);
-                    if present {
-                        moved.insert(n, None);
-                    }
-                    Staged::Depart { present }
-                }
-                _ => Staged::Pass,
-            };
-        out.push((p, staged));
-    }
-    out
 }
 
 /// Run a router over a trace with the standard uniform workload.
@@ -360,35 +131,7 @@ pub fn run_with_faults_sharded<R: Router + ?Sized>(
     router: &mut R,
     shards: usize,
 ) -> SimOutcome {
-    run_with_faults_sharded_dispatch(
-        trace,
-        cfg,
-        workload,
-        plan,
-        router,
-        shards,
-        DispatchMode::default(),
-    )
-}
-
-/// [`run_with_faults_sharded`] with an explicit [`DispatchMode`]. The
-/// mode steers where in-unit work happens, never what it computes —
-/// outcomes are byte-identical either way (the differential battery
-/// runs both).
-pub fn run_with_faults_sharded_dispatch<R: Router + ?Sized>(
-    trace: &Trace,
-    cfg: &SimConfig,
-    workload: &Workload,
-    plan: &FaultPlan,
-    router: &mut R,
-    shards: usize,
-    mode: DispatchMode,
-) -> SimOutcome {
-    let shard_plan = ShardPlan::contiguous(trace.num_landmarks(), shards);
-    let exec = ShardExec::new(shards);
-    run_inner(
-        trace, cfg, workload, plan, router, None, shard_plan, exec, mode,
-    )
+    run_inner(trace, cfg, workload, plan, router, None, shards)
 }
 
 /// [`run_traced`] under a shard runtime (see [`run_with_faults_sharded`]).
@@ -401,47 +144,11 @@ pub fn run_traced_sharded<R: Router + ?Sized>(
     sink: Box<dyn TraceSink>,
     shards: usize,
 ) -> SimOutcome {
-    run_traced_sharded_dispatch(
-        trace,
-        cfg,
-        workload,
-        plan,
-        router,
-        sink,
-        shards,
-        DispatchMode::default(),
-    )
+    run_inner(trace, cfg, workload, plan, router, Some(sink), shards)
 }
 
-/// [`run_traced_sharded`] with an explicit [`DispatchMode`] (see
-/// [`run_with_faults_sharded_dispatch`]).
-#[allow(clippy::too_many_arguments)] // the run inputs plus the shard runtime
-pub fn run_traced_sharded_dispatch<R: Router + ?Sized>(
-    trace: &Trace,
-    cfg: &SimConfig,
-    workload: &Workload,
-    plan: &FaultPlan,
-    router: &mut R,
-    sink: Box<dyn TraceSink>,
-    shards: usize,
-    mode: DispatchMode,
-) -> SimOutcome {
-    let shard_plan = ShardPlan::contiguous(trace.num_landmarks(), shards);
-    let exec = ShardExec::new(shards);
-    run_inner(
-        trace,
-        cfg,
-        workload,
-        plan,
-        router,
-        Some(sink),
-        shard_plan,
-        exec,
-        mode,
-    )
-}
-
-#[allow(clippy::too_many_arguments)] // the run inputs plus the shard runtime
+/// Run to the end under `shards` balanced contiguous shards, one worker
+/// thread per shard.
 fn run_inner<R: Router + ?Sized>(
     trace: &Trace,
     cfg: &SimConfig,
@@ -449,13 +156,19 @@ fn run_inner<R: Router + ?Sized>(
     plan: &FaultPlan,
     router: &mut R,
     sink: Option<Box<dyn TraceSink>>,
-    shard_plan: ShardPlan,
-    exec: ShardExec,
-    mode: DispatchMode,
+    shards: usize,
 ) -> SimOutcome {
-    let mut session =
-        SimSession::start_sharded(trace, cfg, workload, plan, router, sink, shard_plan, exec);
-    session.set_dispatch(mode);
+    let shard_plan = ShardPlan::contiguous(trace.num_landmarks(), shards);
+    let mut session = SimSession::start_sharded(
+        trace,
+        cfg,
+        workload,
+        plan,
+        router,
+        sink,
+        shard_plan,
+        ShardExec::new(shards),
+    );
     session.run_to_end();
     session.finish()
 }
@@ -564,14 +277,18 @@ fn build_record_lost(trace: &Trace, plan: &FaultPlan) -> Vec<bool> {
 /// restore: a run killed at a unit boundary and resumed from its snapshot
 /// produces byte-identical outcomes to one that never stopped.
 ///
-/// Only the engine *cursor* is checkpointed (static-event index, timer
-/// heap, timer sequence counter): the static event list itself is a pure
+/// Only the engine *cursor* is checkpointed (static-event index, pending
+/// timers, timer sequence counter): the static event list itself is a pure
 /// function of `(trace, cfg, workload, plan)` and is rebuilt on resume,
 /// which keeps snapshots small and makes tampering with the schedule
 /// detectable by the fingerprint check at the container level.
 pub struct SimSession<'a, R: Router + ?Sized> {
     world: World,
-    queues: ShardQueues,
+    /// The static schedule, sorted ascending by `(at, kind, seq)`.
+    // detlint: allow(S1, reason = "pure function of the run inputs; resume() rebuilds it with build_static_events")
+    events: Vec<Event>,
+    /// Static events dispatched so far (the checkpoint cursor).
+    next: usize,
     // detlint: allow(S1, reason = "run input, not state: the shard plan never affects outcomes, and resume() may use a different one")
     plan: ShardPlan,
     // detlint: allow(S1, reason = "run input, not state: a throughput knob, never a semantic one")
@@ -593,30 +310,7 @@ pub struct SimSession<'a, R: Router + ?Sized> {
     /// Encounter-partner scratch buffer, reused across arrivals.
     // detlint: allow(S1, reason = "scratch buffer, cleared before every use")
     present: Vec<NodeId>,
-    /// How in-unit events dispatch (DESIGN.md §15): sequentially, or
-    /// through staged shard-local windows when the plan has > 1 shard.
-    // detlint: allow(S1, reason = "run knob, not state: the dispatch mode steers where work happens, never what is computed")
-    dispatch_mode: DispatchMode,
-    /// Upper bound on staged window length (bounds staging latency and
-    /// peek-ahead cost; never affects outcomes).
-    // detlint: allow(S1, reason = "run knob, not state: a throughput bound, never a semantic one")
-    max_window: usize,
-    /// In-unit dispatch telemetry, surfaced via [`SimOutcome::dispatch`].
-    // detlint: allow(S1, reason = "throughput diagnostics, never checkpointed and never output-affecting")
-    stats: DispatchStats,
-    /// Window scratch: the peeked merge-order run being planned.
-    // detlint: allow(S1, reason = "scratch buffer, cleared before every use")
-    window: Vec<Event>,
-    /// Window scratch: planner claims, parallel to `window`.
-    // detlint: allow(S1, reason = "scratch buffer, cleared before every use")
-    claims: Vec<Claim>,
-    /// Window scratch: per-queue peek cursors.
-    // detlint: allow(S1, reason = "scratch buffer, cleared before every use")
-    cursors: Vec<usize>,
 }
-
-/// Default cap on staged window length.
-const MAX_WINDOW: usize = 256;
 
 /// Why [`SimSession::run_core`] stopped.
 enum RunStop {
@@ -679,7 +373,8 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
         let events = build_static_events(trace, cfg, workload, plan);
         SimSession {
             world,
-            queues: ShardQueues::build(events, &shard_plan, 0),
+            events,
+            next: 0,
             plan: shard_plan,
             exec,
             timers: TimingWheel::new(),
@@ -689,32 +384,7 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
             duration: trace.duration(),
             router,
             present: Vec::new(),
-            dispatch_mode: DispatchMode::default(),
-            max_window: MAX_WINDOW,
-            stats: DispatchStats::default(),
-            window: Vec::new(),
-            claims: Vec::new(),
-            cursors: Vec::new(),
         }
-    }
-
-    /// Set how in-unit events dispatch (default: [`DispatchMode::InUnit`],
-    /// which only takes effect with a multi-shard plan). Outcome-neutral
-    /// by construction — the differential battery runs both modes.
-    pub fn set_dispatch(&mut self, mode: DispatchMode) {
-        self.dispatch_mode = mode;
-    }
-
-    /// Cap staged window length (clamped to ≥ 1). A testing knob: the
-    /// batch-boundary proptests fuzz it to move window cuts around and
-    /// assert the cuts are invisible in every output byte.
-    pub fn set_dispatch_window(&mut self, cap: usize) {
-        self.max_window = cap.max(1);
-    }
-
-    /// In-unit dispatch telemetry accumulated so far.
-    pub fn dispatch_stats(&self) -> DispatchStats {
-        self.stats
     }
 
     /// Current simulation time.
@@ -757,33 +427,28 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
         matches!(self.run_core(target, None), RunStop::Boundary)
     }
 
-    /// Dispatch up to `n` events (static events and timers combined),
-    /// pausing at the next consistent point — a staged window always
-    /// commits in full, so slightly more than `n` events may dispatch
-    /// when a window or its interleaved timers straddle the budget.
+    /// Dispatch up to `n` events (static events and timers combined).
     /// Returns `true` when the budget stopped the run (events may
     /// remain), `false` when the run ended first.
     ///
     /// Unlike [`SimSession::run_to_unit`], the pause point may fall
     /// anywhere inside a unit: the engine cursor, world and router
     /// codecs are all consistent between any two events, so mid-unit
-    /// checkpoints restore byte-identically under any shard count or
-    /// window cap (the shard_props battery fuzzes this).
+    /// checkpoints restore byte-identically under any shard count (the
+    /// shard_props battery fuzzes this).
     pub fn step_events(&mut self, n: usize) -> bool {
         matches!(self.run_core(u64::MAX, Some(n)), RunStop::Budget)
     }
 
     /// The merge loop behind [`SimSession::run_to_unit`] and
-    /// [`SimSession::step_events`]: pick the earliest of the static
-    /// merge head and the timer wheel head, dispatch, repeat. With
-    /// in-unit dispatch on and a multi-shard plan, a static shard-queue
-    /// head opens a staged window instead of a single dispatch.
+    /// [`SimSession::step_events`]: pick the earlier of the next static
+    /// event and the timer wheel head, dispatch, repeat.
     fn run_core(&mut self, target: u64, mut budget: Option<usize>) -> RunStop {
         loop {
             if budget == Some(0) {
                 return RunStop::Budget;
             }
-            let static_ev = self.queues.peek();
+            let static_ev = self.events.get(self.next).copied();
             let timer_ev = self.timers.peek_min().map(|e| Event {
                 at: SimTime(e.at),
                 kind: EventKind::Timer(e.payload),
@@ -798,19 +463,7 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
                     if matches!(s.kind, EventKind::TimeUnit(u) if u >= target) {
                         return RunStop::Boundary;
                     }
-                    if self.dispatch_mode == DispatchMode::InUnit
-                        && self.plan.num_shards() > 1
-                        && claim_of(s.kind, &self.plan).is_some()
-                    {
-                        let cap = budget.map_or(self.max_window, |b| self.max_window.min(b));
-                        let n = self.dispatch_window(cap);
-                        if let Some(b) = &mut budget {
-                            *b = b.saturating_sub(n);
-                        }
-                        continue;
-                    }
-                    // `s` is the merge-order minimum, so this pops it.
-                    self.queues.pop();
+                    self.next += 1;
                     s
                 }
                 (None, Some(t)) => {
@@ -821,135 +474,10 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
             };
             self.dispatch(ev);
             self.drain_timers();
-            self.stats.sequential_events += 1;
             if let Some(b) = &mut budget {
-                *b = b.saturating_sub(1);
+                *b -= 1;
             }
         }
-    }
-
-    /// Plan, stage and commit one in-unit window (DESIGN.md §15)
-    /// starting at the current merge head, which must be a shard-local
-    /// event sorting before every pending timer. Returns the number of
-    /// events dispatched (windowed events plus interleaved timers).
-    ///
-    /// The three phases:
-    ///
-    /// 1. **Plan** — peek ahead (without consuming) over the merge
-    ///    order, collecting up to `cap` shard-local events that sort
-    ///    before the earliest pending timer; `plan_window` cuts the run
-    ///    at the first cross-shard node handoff.
-    /// 2. **Stage** — with ≥ 2 batches, shard workers resolve each
-    ///    event's read-side against the frozen [`WorldView`]
-    ///    concurrently. Single-batch windows skip staging: there is no
-    ///    parallelism to win, and live dispatch is cheaper.
-    /// 3. **Commit** — replay the window in exact merge order on the
-    ///    engine thread, running the real router hooks against the live
-    ///    world; staged read-sides substitute for live lookups (debug
-    ///    builds assert they agree). Timers created by committed events
-    ///    interleave exactly where sequential dispatch would have fired
-    ///    them — timer handlers never move nodes or flip liveness, so
-    ///    staged read-sides stay exact across them.
-    fn dispatch_window(&mut self, cap: usize) -> usize {
-        let timer_ev = self.timers.peek_min().map(|e| Event {
-            at: SimTime(e.at),
-            kind: EventKind::Timer(e.payload),
-            seq: e.seq,
-        });
-        self.window.clear();
-        self.claims.clear();
-        {
-            let plan = &self.plan;
-            let claims = &mut self.claims;
-            self.queues.peek_run(
-                &mut self.cursors,
-                cap,
-                |e| {
-                    if let Some(t) = timer_ev {
-                        if t < e {
-                            return false;
-                        }
-                    }
-                    match claim_of(e.kind, plan) {
-                        Some(c) => {
-                            claims.push(c);
-                            true
-                        }
-                        None => false,
-                    }
-                },
-                &mut self.window,
-            );
-        }
-        let wplan = plan_window(&self.claims);
-        if wplan.cut_by_handoff {
-            self.stats.handoff_cuts += 1;
-        }
-        let len = wplan.len;
-        debug_assert!(len >= 1, "the merge head always enters the window");
-        let mut staged: Vec<Option<Staged>> = Vec::new();
-        if len >= 2 && wplan.batches.len() >= 2 {
-            let view = self.world.view();
-            let window = &self.window[..len];
-            let parts: Vec<&[usize]> = wplan
-                .batches
-                .iter()
-                .map(|b| b.positions.as_slice())
-                .collect();
-            let results = self
-                .exec
-                .map_parts(parts, |_, positions| stage_batch(view, window, positions));
-            staged.resize_with(len, || None);
-            for part in results {
-                for (p, s) in part {
-                    staged[p] = Some(s);
-                }
-            }
-            for b in &wplan.batches {
-                self.stats.record_batch(b.positions.len());
-            }
-            self.stats.windows += 1;
-            self.stats.staged_events += len as u64;
-        } else {
-            // Live commit of the whole (single-batch or single-event)
-            // run: no staging, but still one planning pass for many
-            // events.
-            staged.resize_with(len, || None);
-            self.stats.sequential_events += len as u64;
-        }
-        let mut dispatched = 0usize;
-        for (i, slot) in staged.iter_mut().enumerate().take(len) {
-            let ev = self.window[i];
-            // Timers created by earlier commits may sort before `ev`;
-            // fire them now, exactly as the sequential loop would.
-            loop {
-                let t = self.timers.peek_min().map(|e| Event {
-                    at: SimTime(e.at),
-                    kind: EventKind::Timer(e.payload),
-                    seq: e.seq,
-                });
-                match t {
-                    Some(t) if t < ev => {
-                        self.timers.pop_min();
-                        self.dispatch(t);
-                        self.drain_timers();
-                        self.stats.sequential_events += 1;
-                        dispatched += 1;
-                    }
-                    _ => break,
-                }
-            }
-            let popped = self.queues.pop();
-            debug_assert_eq!(
-                popped,
-                Some(ev),
-                "window commit out of sync with merge order"
-            );
-            self.dispatch_staged(ev, slot.take());
-            self.drain_timers();
-            dispatched += 1;
-        }
-        dispatched
     }
 
     /// Dispatch every remaining event.
@@ -973,20 +501,10 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
             metrics,
             packets,
             trace: trace_sink,
-            dispatch: self.stats,
         }
     }
 
     fn dispatch(&mut self, ev: Event) {
-        self.dispatch_staged(ev, None);
-    }
-
-    /// Dispatch one event, consuming its staged read-side when the
-    /// window machinery precomputed one (`None` = resolve live, the
-    /// classic sequential path). Debug builds assert every staged
-    /// answer against the live world, so the tier-1 battery proves the
-    /// §15 partition rule on every run.
-    fn dispatch_staged(&mut self, ev: Event, staged: Option<Staged>) {
         let world = &mut self.world;
         world.set_now(ev.at);
         match ev.kind {
@@ -1009,18 +527,7 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
                 // Suppressed when the node is not actually there: its
                 // arrival was swallowed by a failure, or churn removed it
                 // mid-visit.
-                let present = match staged {
-                    Some(Staged::Depart { present }) => {
-                        debug_assert_eq!(
-                            present,
-                            world.node_location(n) == Some(l),
-                            "staged departure presence diverged from the live world"
-                        );
-                        present
-                    }
-                    _ => world.node_location(n) == Some(l),
-                };
-                if present {
+                if world.node_location(n) == Some(l) {
                     world.set_visit_recorded(!self.record_lost[idx as usize]);
                     self.router.on_depart(world, n, l);
                     world.set_visit_recorded(true);
@@ -1035,21 +542,7 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
             EventKind::Arrive(n, l, idx) => {
                 // A failed node is off the network: its visits do not
                 // happen until it recovers.
-                let (suppressed, staged_partners) = match staged {
-                    Some(Staged::Arrive {
-                        suppressed,
-                        partners,
-                    }) => {
-                        debug_assert_eq!(
-                            suppressed,
-                            world.node_is_failed(n),
-                            "staged arrival suppression diverged from the live world"
-                        );
-                        (suppressed, Some(partners))
-                    }
-                    _ => (world.node_is_failed(n), None),
-                };
-                if !suppressed {
+                if !world.node_is_failed(n) {
                     world.node_arrive(n, l);
                     if !self.station_mode {
                         world.auto_deliver_on_arrival(n, l);
@@ -1059,21 +552,8 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
                     // mutate presence; the buffer is reused across
                     // arrivals to keep this allocation-free.
                     self.present.clear();
-                    match staged_partners {
-                        Some(partners) => {
-                            debug_assert!(
-                                partners
-                                    .iter()
-                                    .copied()
-                                    .eq(world.nodes_at(l).iter().filter(|&m| m != n)),
-                                "staged partner list diverged from the live world"
-                            );
-                            self.present.extend(partners);
-                        }
-                        None => self
-                            .present
-                            .extend(world.nodes_at(l).iter().filter(|&m| m != n)),
-                    }
+                    self.present
+                        .extend(world.nodes_at(l).iter().filter(|&m| m != n));
                     for &m in self.present.iter() {
                         self.router.on_encounter(world, n, m, l);
                     }
@@ -1112,14 +592,14 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
 
     // ---- checkpoint / restore (DESIGN.md §11) ----------------------------
 
-    /// Encode the engine cursor: consumed static-event count (in merge
-    /// order, which equals global sorted order — so the value is
-    /// shard-count-agnostic), timer sequence counter, and the pending
+    /// Encode the engine cursor: consumed static-event count (an index
+    /// into the sorted schedule, which no shard plan affects), timer
+    /// sequence counter, and the pending
     /// timers (sorted ascending, so the encoding is canonical
     /// regardless of wheel internals — and byte-identical to the
     /// format the old binary heap produced).
     pub fn encode_engine(&self, w: &mut Writer) {
-        w.put_usize(self.queues.dispatched());
+        w.put_usize(self.next);
         w.put_u64(self.timer_seq);
         let pending = self.timers.to_sorted_vec();
         w.put_usize(pending.len());
@@ -1185,10 +665,10 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
     }
 
     /// [`SimSession::resume`] under a shard runtime. Snapshots are
-    /// shard-count-agnostic: the checkpoint cursor counts events in merge
-    /// order (== global sorted order), so a run checkpointed under one
-    /// plan restores under any other — the chaos interop tests cross
-    /// 1-shard checkpoints with 8-shard restores and vice versa.
+    /// shard-count-agnostic: the checkpoint cursor indexes the one sorted
+    /// schedule, so a run checkpointed under one plan restores under any
+    /// other — the chaos interop tests cross 1-shard checkpoints with
+    /// 8-shard restores and vice versa.
     #[allow(clippy::too_many_arguments)] // mirrors `start_sharded` plus the two state readers
     pub fn resume_sharded(
         trace: &Trace,
@@ -1231,7 +711,8 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
         let station_mode = router.uses_stations();
         Ok(SimSession {
             world: restored,
-            queues: ShardQueues::build(events, &shard_plan, next_static),
+            events,
+            next: next_static,
             plan: shard_plan,
             exec,
             timers,
@@ -1241,12 +722,6 @@ impl<'a, R: Router + ?Sized> SimSession<'a, R> {
             duration: trace.duration(),
             router,
             present: Vec::new(),
-            dispatch_mode: DispatchMode::default(),
-            max_window: MAX_WINDOW,
-            stats: DispatchStats::default(),
-            window: Vec::new(),
-            claims: Vec::new(),
-            cursors: Vec::new(),
         })
     }
 }
@@ -1505,50 +980,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_queues_merge_reproduces_global_order() {
-        // Partition a sorted schedule under several plans and check the
-        // k-way merge pops the identical sequence each time.
-        let trace = shuttle_trace();
-        let cfg = small_cfg();
-        let workload = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());
-        let events = build_static_events(&trace, &cfg, &workload, &FaultPlan::none());
-        let want = events.clone();
-        for plan in [
-            ShardPlan::single(2),
-            ShardPlan::contiguous(2, 2),
-            ShardPlan::round_robin(2, 2),
-            ShardPlan::contiguous(2, 8),
-        ] {
-            let mut q = ShardQueues::build(events.clone(), &plan, 0);
-            let mut got = Vec::with_capacity(want.len());
-            while let Some(e) = q.pop() {
-                got.push(e);
-            }
-            assert_eq!(got, want, "plan {plan:?}");
-            assert_eq!(q.dispatched(), want.len());
-        }
-    }
-
-    #[test]
-    fn shard_queues_resume_cursor_is_plan_agnostic() {
-        let trace = shuttle_trace();
-        let cfg = small_cfg();
-        let workload = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());
-        let events = build_static_events(&trace, &cfg, &workload, &FaultPlan::none());
-        let cut = events.len() / 2;
-        let seq_tail: Vec<Event> = events[cut..].to_vec();
-        for plan in [ShardPlan::contiguous(2, 2), ShardPlan::round_robin(2, 4)] {
-            let mut q = ShardQueues::build(events.clone(), &plan, cut);
-            assert_eq!(q.dispatched(), cut);
-            let mut tail = Vec::new();
-            while let Some(e) = q.pop() {
-                tail.push(e);
-            }
-            assert_eq!(tail, seq_tail, "plan {plan:?}");
-        }
-    }
-
-    #[test]
     fn sharded_run_matches_sequential() {
         let trace = shuttle_trace();
         let cfg = small_cfg();
@@ -1598,12 +1029,10 @@ mod tests {
         }
     }
 
-    /// A trace dense enough for real multi-batch windows: `nodes` mobile
-    /// nodes, 4 landmarks, node `i` shuttling to landmark `i % 4` on a
-    /// staggered daily schedule — arrivals and departures at different
-    /// landmarks interleave tightly in the merge order, and no node ever
-    /// crosses shards (each sticks to one landmark), so windows are cut
-    /// only by control events and the window cap.
+    /// A dense trace: `nodes` mobile nodes, 4 landmarks, node `i`
+    /// shuttling to landmark `i % 4` on a staggered daily schedule, so
+    /// arrivals and departures at different landmarks interleave
+    /// tightly in the schedule.
     fn dense_trace(nodes: u32) -> Trace {
         let mut visits = Vec::new();
         for d in 0..6u64 {
@@ -1633,76 +1062,6 @@ mod tests {
             visits,
         )
         .unwrap()
-    }
-
-    #[test]
-    fn in_unit_dispatch_stages_windows_and_matches_boundary_mode() {
-        let trace = dense_trace(12);
-        let cfg = small_cfg();
-        let workload = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());
-        let mut base = RecorderRouter::default();
-        let boundary = run_with_faults_sharded_dispatch(
-            &trace,
-            &cfg,
-            &workload,
-            &FaultPlan::none(),
-            &mut base,
-            4,
-            DispatchMode::Boundary,
-        );
-        assert_eq!(boundary.dispatch.windows, 0, "boundary mode never stages");
-        for shards in [2, 4, 8] {
-            let mut r = RecorderRouter::default();
-            let out = run_with_faults_sharded_dispatch(
-                &trace,
-                &cfg,
-                &workload,
-                &FaultPlan::none(),
-                &mut r,
-                shards,
-                DispatchMode::InUnit,
-            );
-            assert_eq!(r.log, base.log, "shards={shards}");
-            assert_eq!(out.metrics.generated, boundary.metrics.generated);
-            assert_eq!(out.metrics.delivered, boundary.metrics.delivered);
-            assert!(
-                out.dispatch.windows > 0,
-                "dense trace must form staged windows at shards={shards}"
-            );
-            assert!(out.dispatch.staged_events >= 2 * out.dispatch.windows);
-            assert_eq!(
-                out.dispatch.batch_hist.iter().sum::<u64>(),
-                out.dispatch.batches
-            );
-        }
-    }
-
-    #[test]
-    fn window_cap_is_invisible_in_outputs() {
-        // Shrinking the window cap moves every batch boundary; the hook
-        // stream must not move with them.
-        let trace = dense_trace(10);
-        let cfg = small_cfg();
-        let workload = Workload::uniform(&cfg, trace.num_landmarks(), trace.duration());
-        let mut base = RecorderRouter::default();
-        let _ = run_with_workload(&trace, &cfg, &workload, &mut base);
-        for cap in [1, 2, 3, 7, 64] {
-            let mut r = RecorderRouter::default();
-            let mut session = SimSession::start_sharded(
-                &trace,
-                &cfg,
-                &workload,
-                &FaultPlan::none(),
-                &mut r,
-                None,
-                ShardPlan::contiguous(4, 4),
-                ShardExec::new(4),
-            );
-            session.set_dispatch_window(cap);
-            session.run_to_end();
-            let _ = session.finish();
-            assert_eq!(r.log, base.log, "cap={cap}");
-        }
     }
 
     #[test]

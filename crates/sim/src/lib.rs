@@ -34,9 +34,8 @@ pub mod workload;
 pub mod world;
 
 pub use engine::{
-    run, run_traced, run_traced_sharded, run_traced_sharded_dispatch, run_with_faults,
-    run_with_faults_sharded, run_with_faults_sharded_dispatch, run_with_workload, SimOutcome,
-    SimSession,
+    run, run_traced, run_traced_sharded, run_with_faults, run_with_faults_sharded,
+    run_with_workload, DispatchMode, SimOutcome, SimSession,
 };
 pub use faults::{FaultConfig, FaultPlan, NodeOutage, StationOutage};
 pub use router::Router;
@@ -51,7 +50,4 @@ pub use dtnflow_obs::{EventBuffer, NoopSink, Recorder, ShardBuffers, SimEvent, T
 // Re-export the shard runtime vocabulary (DESIGN.md §13) so routers and
 // harnesses can build plans/executors without a direct dtnflow-shard
 // dependency.
-pub use dtnflow_shard::{
-    plan_window, Claim, DispatchMode, DispatchStats, ShardExec, ShardPlan, ShardPlanError,
-    Sharding, WindowPlan,
-};
+pub use dtnflow_shard::{ShardExec, ShardPlan, ShardPlanError, Sharding};
