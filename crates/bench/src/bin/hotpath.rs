@@ -39,13 +39,18 @@
 //! * `station_store_churn` — one upload plus one hand-off on a station
 //!   store 8 000 packets deep (DESIGN.md §16), the store half of the
 //!   uplink and downlink transfers.
+//! * `bucket_append_drain` — one downlink pass's worth of router bucket
+//!   upkeep on a `DenseSet` 1 103 packets deep (DESIGN.md §17): 50
+//!   ascending appends (the generation and rebucket path) and one
+//!   batched removal of the 50 oldest members (`assign_to_node`'s
+//!   drain).
 //!
 //! Wall-clock readings come from the bench crate's quarantined
 //! [`Stopwatch`]; results are medians over repeated samples so a single
 //! scheduler hiccup cannot move the pinned numbers by much.
 
 use dtnflow_bench::timing::Stopwatch;
-use dtnflow_core::dense::DenseMap;
+use dtnflow_core::dense::{DenseMap, DenseSet};
 use dtnflow_core::ids::{LandmarkId, PacketId};
 use dtnflow_core::{RankIndex, TimingWheel};
 use dtnflow_obs::json::{parse, Value};
@@ -335,6 +340,32 @@ fn bench_station_store_churn(samples: usize, ops: u64) -> BenchResult {
     })
 }
 
+/// Router bucket upkeep at the mean `by_next_hop` depth of the
+/// benchmark's 500/day campus cell, 1 103 packets. Each op appends 50
+/// fresh ids above the maximum, as generation and `rebucket` do, then
+/// drains the 50 oldest — a carrier's minimum-remaining-TTL pick — in
+/// one `remove_ascending` pass, so the depth stays fixed. Inserting and
+/// removing one by one would shift the bucket's tail 100 times per op.
+fn bench_bucket_append_drain(samples: usize, ops: u64) -> BenchResult {
+    const DEPTH: u32 = 1_103;
+    const BATCH: u32 = 50;
+    let mut bucket: DenseSet<PacketId> = DenseSet::new();
+    for i in 0..DEPTH {
+        bucket.insert(PacketId(i));
+    }
+    let mut next = DEPTH;
+    let mut drained: Vec<PacketId> = Vec::with_capacity(BATCH as usize);
+    run_bench("bucket_append_drain", samples, ops, move |_| {
+        for _ in 0..BATCH {
+            bucket.insert(PacketId(next));
+            next += 1;
+        }
+        drained.clear();
+        drained.extend(bucket.as_slice()[..BATCH as usize].iter().copied());
+        bucket.remove_ascending(&drained) as u64
+    })
+}
+
 fn results_json(mode: &str, results: &[BenchResult]) -> String {
     Value::object([
         ("schema".to_owned(), Value::str(SCHEMA)),
@@ -493,6 +524,7 @@ fn main() {
         bench_markov_update(samples, ops),
         bench_dense_map_churn(samples, ops),
         bench_station_store_churn(samples, ops),
+        bench_bucket_append_drain(samples, ops),
     ];
     for r in &results {
         println!(

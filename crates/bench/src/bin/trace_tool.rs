@@ -17,8 +17,10 @@ use dtnflow_mobility::synth::bus::{BusConfig, BusModel};
 use dtnflow_mobility::synth::campus::{CampusConfig, CampusModel};
 use dtnflow_mobility::synth::deployment::{DeploymentConfig, DeploymentModel};
 use dtnflow_mobility::{io, stats, Trace};
+use dtnflow_predictor::markov::MAX_ORDER;
 use dtnflow_predictor::{accuracy_five_num, evaluate_fallback, evaluate_order_k};
 use std::process::exit;
+use std::str::FromStr;
 
 fn usage() -> ! {
     eprintln!(
@@ -71,23 +73,33 @@ fn load(source: &str, seed: Option<u64>) -> Trace {
     })
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// The value after flag `name`, if the flag is given. A flag without a
+/// value, or with one that does not parse as `T`, is a usage error.
+fn flag<T: FromStr>(args: &[String], name: &str) -> Option<T> {
+    let i = args.iter().position(|a| a == name)?;
+    match args.get(i + 1).map(|v| v.parse()) {
+        Some(Ok(v)) => Some(v),
+        _ => {
+            eprintln!("{name} needs a valid value");
+            usage()
+        }
+    }
 }
 
 fn cmd_gen(args: &[String]) {
     let Some(kind) = args.first() else { usage() };
-    let seed = flag(args, "--seed").map(|s| s.parse().expect("--seed must be an integer"));
+    let seed = flag(args, "--seed");
     let Some(trace) = builtin(kind, seed) else {
         eprintln!("unknown generator `{kind}` (campus|bus|deployment)");
         exit(2);
     };
     let text = io::to_text(&trace);
-    match flag(args, "--out") {
+    match flag::<String>(args, "--out") {
         Some(path) => {
-            std::fs::write(&path, text).expect("write trace file");
+            if let Err(e) = std::fs::write(&path, text) {
+                eprintln!("cannot write {path}: {e}");
+                exit(1);
+            }
             eprintln!(
                 "wrote {path}: {} nodes, {} landmarks, {} visits",
                 trace.num_nodes(),
@@ -163,9 +175,11 @@ fn cmd_validate(args: &[String]) {
 
 fn cmd_predict(args: &[String]) {
     let Some(source) = args.first() else { usage() };
-    let max_k: usize = flag(args, "--max-k")
-        .map(|s| s.parse().expect("--max-k must be an integer"))
-        .unwrap_or(3);
+    let max_k: usize = flag(args, "--max-k").unwrap_or(3);
+    if !(1..=MAX_ORDER).contains(&max_k) {
+        eprintln!("--max-k must be in 1..={MAX_ORDER}");
+        usage();
+    }
     let trace = load(source, None);
     println!("order-k Markov predictor accuracy on `{}`:", trace.name());
     for k in 1..=max_k {

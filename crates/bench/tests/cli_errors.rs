@@ -1,6 +1,7 @@
-//! Malformed command lines must fail cleanly: the `experiments` and
-//! `shard` binaries print their usage line to stderr and exit with code
-//! 2, and never panic.
+//! Malformed command lines must fail cleanly: the `experiments`,
+//! `shard` and `trace-tool` binaries print their usage line to stderr and
+//! exit with code 2, and never panic. A malformed trace file is a typed
+//! parse error with exit code 1.
 
 use std::process::Command;
 
@@ -67,5 +68,59 @@ fn shard_rejects_bad_flags_without_panicking() {
         &["--bogus"],
     ] {
         assert_usage_error(bin, args);
+    }
+}
+
+#[test]
+fn trace_tool_rejects_bad_flags_without_panicking() {
+    let bin = env!("CARGO_BIN_EXE_trace-tool");
+    for args in [
+        &["gen", "campus", "--seed", "abc"][..],
+        &["gen", "campus", "--seed", "-1"],
+        &["gen", "campus", "--seed"],
+        &["gen", "campus", "--out"],
+        &["predict", "campus", "--max-k", "abc"],
+        &["predict", "campus", "--max-k", "0"],
+        &["predict", "campus", "--max-k", "99"],
+        &["predict", "campus", "--max-k"],
+        &["validate"],
+        &["bogus"],
+        &[],
+    ] {
+        assert_usage_error(bin, args);
+    }
+}
+
+#[test]
+fn trace_tool_validate_reports_bad_files_without_panicking() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_errors_traces");
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let bin = env!("CARGO_BIN_EXE_trace-tool");
+    for (i, text) in [
+        "not a trace\n",
+        "dtn-trace v1\nnodes 1\nlandmarks 1\npos 0 0 0\nv 0 70000 0 10\n",
+        "dtn-trace v1\nnodes 1\nlandmarks 1\npos 0 0 0\nv 8589934592 0 0 10\n",
+        "dtn-trace v1\nlandmarks 18446744073709551615\n",
+        "dtn-trace v1\nnodes 99999999999\n",
+        "dtn-trace v1\nnodes 1\nlandmarks 2\npos 0 0 0\n",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let path = dir.join(format!("bad{i}.trace"));
+        std::fs::write(&path, text).expect("write bad trace");
+        for sub in ["validate", "stats"] {
+            let out = Command::new(bin)
+                .arg(sub)
+                .arg(&path)
+                .output()
+                .expect("trace-tool runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{sub} {text:?}: {stderr}");
+            assert!(
+                !stderr.contains("panicked"),
+                "{sub} {text:?} panicked:\n{stderr}"
+            );
+        }
     }
 }

@@ -304,15 +304,24 @@ impl<K: DenseKey, V> std::ops::Index<K> for DenseMap<K, V> {
 ///
 /// Replaces `BTreeSet<K>` on hot paths. Membership is a binary search;
 /// iteration is a contiguous ascending scan — the same observable order
-/// a `BTreeSet` gives, without per-element nodes. Insert/remove shift
-/// the tail, an O(len) `memmove`, and the sets are not small: FlowRouter's
-/// `by_next_hop` buckets average 1 103 packets at 500 packets/landmark/day
-/// and 3 278 at 1000/day. The shift is kept where callers iterate in id
-/// order far more often than they churn (node stores, router buckets); a
-/// chunked layout measured worse there. Deep, churn-heavy queues with
-/// rare ordered reads use `dtnflow_sim::store::StationStore` instead
-/// (DESIGN.md §16). `clear` keeps the allocation, so reused buckets stop
-/// allocating.
+/// a `BTreeSet` gives, without per-element nodes. The sets are not
+/// small: FlowRouter's `by_next_hop` buckets average 1 103 packets at
+/// 500 packets/landmark/day and 3 278 at 1000/day. Three paths keep
+/// them cheap (DESIGN.md §17):
+///
+/// * [`DenseSet::insert`] of a key above the current maximum is a plain
+///   push — no search, no shift. Packet ids are allocated in ascending
+///   order, so generation and rebucketing only ever append.
+/// * [`DenseSet::remove_ascending`] drops a batch of members in one
+///   linear compaction, where removing them one by one would shift the
+///   tail once per member.
+/// * Any other insert or remove shifts the tail, an O(len) `memmove`.
+///
+/// The layout is kept where callers iterate in id order far more often
+/// than they churn (node stores, router buckets); a chunked layout
+/// measured worse there. Deep, churn-heavy queues with rare ordered
+/// reads use `dtnflow_sim::store::StationStore` instead (DESIGN.md §16).
+/// `clear` keeps the allocation, so reused buckets stop allocating.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DenseSet<K> {
     sorted: Vec<K>,
@@ -340,8 +349,13 @@ impl<K: DenseKey> DenseSet<K> {
         self.sorted.is_empty()
     }
 
-    /// Add `k`; returns whether it was newly inserted.
+    /// Add `k`; returns whether it was newly inserted. A key above every
+    /// member is appended without a search.
     pub fn insert(&mut self, k: K) -> bool {
+        if self.sorted.last().is_none_or(|&last| last < k) {
+            self.sorted.push(k);
+            return true;
+        }
         match self.sorted.binary_search(&k) {
             Ok(_) => false,
             Err(pos) => {
@@ -360,6 +374,46 @@ impl<K: DenseKey> DenseSet<K> {
             }
             Err(_) => false,
         }
+    }
+
+    /// Remove every member of the strictly ascending `victims`; keys that
+    /// are not members are skipped. Returns how many were removed. One
+    /// pass: each run of survivors between two victims moves down once,
+    /// so the cost is that of a single `remove`, not one per victim.
+    pub fn remove_ascending(&mut self, victims: &[K]) -> usize {
+        debug_assert!(
+            victims.windows(2).all(|w| w[0] < w[1]),
+            "victims must be strictly ascending"
+        );
+        let v = &mut self.sorted;
+        // `v[read..]` is still unmoved; `removed` slots below `read` are
+        // free, so a survivor run `read..at` lands at `read - removed`.
+        let mut read = 0;
+        let mut removed = 0;
+        for &k in victims {
+            // Gallop: consecutive victims usually sit close together (a
+            // drain takes members from the front), so bound the search
+            // window by doubling before the binary search.
+            let rest = &v[read..];
+            let mut window = 1;
+            while window < rest.len() && rest[window - 1] < k {
+                window *= 2;
+            }
+            let Ok(off) = rest[..window.min(rest.len())].binary_search(&k) else {
+                continue;
+            };
+            let at = read + off;
+            if removed > 0 {
+                v.copy_within(read..at, read - removed);
+            }
+            read = at + 1;
+            removed += 1;
+        }
+        if removed > 0 {
+            v.copy_within(read.., read - removed);
+            v.truncate(v.len() - removed);
+        }
+        removed
     }
 
     /// Whether `k` is a member.

@@ -27,7 +27,7 @@ pub use dense::{DenseKey, DenseMap, DenseSet, LinkMatrix};
 pub use geometry::Point;
 pub use ids::{LandmarkId, NodeId, PacketId};
 pub use metrics::{MetricsSummary, RunMetrics};
-pub use packet::{Packet, PacketLoc};
+pub use packet::{Packet, PacketLoc, StationPath};
 pub use rankidx::{RankEntry, RankIndex};
 pub use time::{SimDuration, SimTime, DAY, HOUR, MINUTE, SECOND};
 pub use wheel::{TimingWheel, WheelEntry};

@@ -31,6 +31,15 @@ fn map_ops() -> impl Strategy<Value = Vec<MapOp>> {
     )
 }
 
+/// One step of a set workload for the append and batched-removal paths.
+#[derive(Debug, Clone)]
+enum SetOp {
+    Append(u16),
+    Insert(u16),
+    Remove(u16),
+    RemoveBatch(Vec<u16>),
+}
+
 proptest! {
     #[test]
     fn dense_map_equals_btree_map(ops in map_ops()) {
@@ -101,6 +110,47 @@ proptest! {
         let dense_items: Vec<u16> = dense.iter().collect();
         let tree_items: Vec<u16> = tree.iter().copied().collect();
         prop_assert_eq!(dense_items, tree_items);
+    }
+
+    #[test]
+    fn dense_set_appends_and_batched_removals_equal_btree_set(ops in proptest::collection::vec(
+        prop_oneof![
+            // Append: a key above the current maximum (the push path).
+            4 => (1u16..4).prop_map(SetOp::Append),
+            // Anywhere, usually below the maximum (the shifting path).
+            2 => (0u16..200).prop_map(SetOp::Insert),
+            2 => (0u16..200).prop_map(SetOp::Remove),
+            // A batch mixing members and non-members, in any order; it is
+            // sorted and deduplicated before `remove_ascending`.
+            1 => proptest::collection::vec(0u16..200, 0..24).prop_map(SetOp::RemoveBatch),
+        ],
+        0..160,
+    )) {
+        let mut dense: DenseSet<u16> = DenseSet::new();
+        let mut tree: std::collections::BTreeSet<u16> = std::collections::BTreeSet::new();
+        for op in ops {
+            match op {
+                SetOp::Append(delta) => {
+                    let k = tree.last().map_or(0, |&m| m.saturating_add(delta));
+                    prop_assert_eq!(dense.insert(k), tree.insert(k));
+                }
+                SetOp::Insert(k) => {
+                    prop_assert_eq!(dense.insert(k), tree.insert(k));
+                }
+                SetOp::Remove(k) => {
+                    prop_assert_eq!(dense.remove(k), tree.remove(&k));
+                }
+                SetOp::RemoveBatch(mut victims) => {
+                    victims.sort_unstable();
+                    victims.dedup();
+                    let expected = victims.iter().filter(|&&k| tree.remove(&k)).count();
+                    prop_assert_eq!(dense.remove_ascending(&victims), expected);
+                }
+            }
+            prop_assert_eq!(dense.len(), tree.len());
+            let tree_items: Vec<u16> = tree.iter().copied().collect();
+            prop_assert_eq!(dense.as_slice(), &tree_items[..]);
+        }
     }
 
     #[test]

@@ -454,6 +454,21 @@ pub struct FlowRouter {
     /// Reusable successor-distribution buffer for `assign_to_node`.
     // detlint: allow(S1, reason = "scratch buffer, empty between events by construction")
     scratch_dist: Vec<(LandmarkId, f64)>,
+    /// Reusable deferred-removal buffer for `assign_to_node`'s [`Drain`].
+    // detlint: allow(S1, reason = "scratch buffer, empty between events by construction")
+    scratch_drained: Vec<PacketId>,
+}
+
+/// The station bucket `assign_to_node` is walking (DESIGN.md §17).
+/// `unindex` defers removals from it into `removed` — in the walk's
+/// ascending order — and the walk drops them in one
+/// [`DenseSet::remove_ascending`] pass when it ends, instead of shifting
+/// the bucket's tail once per hand-off.
+struct Drain {
+    /// `by_next_hop[h]` when set, `by_dst[h]` otherwise.
+    routed: bool,
+    h: LandmarkId,
+    removed: Vec<PacketId>,
 }
 
 impl FlowRouter {
@@ -514,6 +529,7 @@ impl FlowRouter {
             scratch_pkts: Vec::new(),
             scratch_bucket: Vec::new(),
             scratch_dist: Vec::new(),
+            scratch_drained: Vec::new(),
         }
     }
 
@@ -764,7 +780,7 @@ impl FlowRouter {
         // Direct delivery (§IV-D.2): any candidate here wins outright.
         if dst != lm {
             if let Some(n) = pick(world, self.rank.ranked(lm.index(), dst.0)) {
-                self.hand_to_carrier(world, lm, pkt, n, dst);
+                self.hand_to_carrier(world, lm, pkt, n, dst, None);
                 return;
             }
         }
@@ -773,7 +789,7 @@ impl FlowRouter {
         if let Some(nh) = meta.next_hop {
             if nh != lm && meta.expected < remaining {
                 if let Some(n) = pick(world, self.rank.ranked(lm.index(), nh.0)) {
-                    self.hand_to_carrier(world, lm, pkt, n, nh);
+                    self.hand_to_carrier(world, lm, pkt, n, nh, None);
                 }
             }
         }
@@ -787,12 +803,13 @@ impl FlowRouter {
         pkt: PacketId,
         carrier: NodeId,
         toward: LandmarkId,
+        drain: Option<&mut Drain>,
     ) -> bool {
         let dst = world.packet(pkt).dst;
         let expected = self.landmarks[lm.index()].rt.delay_to(dst);
         match world.transfer_to_node(pkt, carrier) {
             Ok(()) => {
-                self.unindex(lm, pkt, dst, world.packet(pkt).dst_node);
+                self.unindex(lm, pkt, dst, world.packet(pkt).dst_node, drain);
                 let st = &mut self.landmarks[lm.index()];
                 st.lb_outgoing[toward.index()] += 1;
                 let retries = self.meta_of(pkt).retries;
@@ -807,27 +824,45 @@ impl FlowRouter {
                 true
             }
             Err(TransferError::Expired) => {
-                self.unindex(lm, pkt, dst, None);
+                self.unindex(lm, pkt, dst, None, drain);
                 false
             }
             Err(_) => false,
         }
     }
 
+    /// Drop a station packet from `lm`'s indices. A removal from the
+    /// bucket `drain` is walking is deferred to the walk's batch.
     fn unindex(
         &mut self,
         lm: LandmarkId,
         pkt: PacketId,
         dst: LandmarkId,
         dst_node: Option<NodeId>,
+        drain: Option<&mut Drain>,
     ) {
         let meta = self.meta_of(pkt);
         let st = &mut self.landmarks[lm.index()];
-        if let Some(set) = st.by_dst.get_mut(dst) {
-            set.remove(pkt);
+        // `Some(routed)` when the packet sits in the drained bucket.
+        let deferred = drain
+            .filter(|d| {
+                if d.routed {
+                    meta.next_hop == Some(d.h)
+                } else {
+                    dst == d.h
+                }
+            })
+            .map(|d| {
+                d.removed.push(pkt);
+                d.routed
+            });
+        if deferred != Some(false) {
+            if let Some(set) = st.by_dst.get_mut(dst) {
+                set.remove(pkt);
+            }
         }
-        if let Some(nh) = meta.next_hop {
-            if let Some(set) = st.by_next_hop.get_mut(nh) {
+        if deferred != Some(true) {
+            if let Some(set) = meta.next_hop.and_then(|nh| st.by_next_hop.get_mut(nh)) {
                 set.remove(pkt);
             }
         }
@@ -881,6 +916,11 @@ impl FlowRouter {
         // mop-up — a packet past its feasible window still rides along if
         // capacity remains, rather than freezing at the station.
         let mut bucket = std::mem::take(&mut self.scratch_bucket);
+        let mut drain = Drain {
+            routed: false,
+            h: lm,
+            removed: std::mem::take(&mut self.scratch_drained),
+        };
         'phases: for phase in 0..2 {
             for &(h, p) in &dist {
                 if h == lm {
@@ -905,6 +945,9 @@ impl FlowRouter {
                     let Some(set) = index.get(h) else { continue };
                     bucket.clear();
                     bucket.extend(set.iter());
+                    drain.routed = !direct;
+                    drain.h = h;
+                    drain.removed.clear();
                     for &pkt in bucket.iter() {
                         if assigned >= cap || bucket_quota == 0 || !world.node_has_space(node) {
                             break;
@@ -914,7 +957,7 @@ impl FlowRouter {
                         if p.loc != PacketLoc::AtStation(lm) {
                             let dst = p.dst;
                             let dn = p.dst_node;
-                            self.unindex(lm, pkt, dst, dn);
+                            self.unindex(lm, pkt, dst, dn, Some(&mut drain));
                             continue;
                         }
                         if !direct {
@@ -928,14 +971,25 @@ impl FlowRouter {
                                 continue;
                             }
                         }
-                        if self.hand_to_carrier(world, lm, pkt, node, h) {
+                        if self.hand_to_carrier(world, lm, pkt, node, h, Some(&mut drain)) {
                             assigned += 1;
                             bucket_quota -= 1;
                         }
                     }
+                    let st = &mut self.landmarks[lm.index()];
+                    let index = if direct {
+                        &mut st.by_dst
+                    } else {
+                        &mut st.by_next_hop
+                    };
+                    if let Some(set) = index.get_mut(h) {
+                        let removed = set.remove_ascending(&drain.removed);
+                        debug_assert_eq!(removed, drain.removed.len(), "deferred removal missed");
+                    }
                 }
             }
         }
+        self.scratch_drained = drain.removed;
         self.scratch_bucket = bucket;
         self.scratch_dist = dist;
     }
@@ -1159,7 +1213,7 @@ impl FlowRouter {
             let mut meta = self.meta_of(pkt);
             meta.retries += 1;
             if meta.retries > deg.max_retries {
-                self.unindex(lm, pkt, dst, dst_node);
+                self.unindex(lm, pkt, dst, dst_node, None);
                 if world.drop_lost(pkt, LossReason::Outage).is_ok() {
                     self.stats.stranded_drops += 1;
                 }
@@ -1352,6 +1406,7 @@ impl FlowRouter {
             scratch_pkts: Vec::new(),
             scratch_bucket: Vec::new(),
             scratch_dist: Vec::new(),
+            scratch_drained: Vec::new(),
         })
     }
 }
@@ -1840,7 +1895,7 @@ impl Router for FlowRouter {
         for &pkt in addressed.iter() {
             let dst = world.packet(pkt).dst;
             if world.deliver_to_dst_node(pkt, node).is_ok() {
-                self.unindex(lm, pkt, dst, Some(node));
+                self.unindex(lm, pkt, dst, Some(node), None);
             }
         }
         self.scratch_pkts = addressed;

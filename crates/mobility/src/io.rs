@@ -21,6 +21,13 @@ use dtnflow_core::ids::{LandmarkId, NodeId};
 use dtnflow_core::time::SimTime;
 use std::fmt::Write as _;
 
+/// Largest `landmarks` count a trace file may declare: [`LandmarkId`] is
+/// a `u16` index, so ids `0..=u16::MAX`.
+pub const MAX_LANDMARKS: usize = 1 << 16;
+/// Largest `nodes` count a trace file may declare: [`NodeId`] is a `u32`
+/// index, so ids `0..=u32::MAX`.
+const MAX_NODES: u64 = 1 << 32;
+
 /// Why parsing failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParseError {
@@ -109,16 +116,26 @@ pub fn from_text(text: &str) -> Result<Trace, ParseError> {
                 }
             }
             "nodes" => {
-                nodes = it
+                let n: u64 = it
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| bad(ln, "nodes requires a count"))?;
+                if n > MAX_NODES {
+                    return Err(bad(ln, &format!("nodes {n} exceeds {MAX_NODES}")));
+                }
+                nodes = usize::try_from(n).map_err(|_| bad(ln, "nodes exceeds usize"))?;
             }
             "landmarks" => {
                 landmarks = it
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| bad(ln, "landmarks requires a count"))?;
+                if landmarks > MAX_LANDMARKS {
+                    return Err(bad(
+                        ln,
+                        &format!("landmarks {landmarks} exceeds {MAX_LANDMARKS}"),
+                    ));
+                }
             }
             "pos" => {
                 let i: usize = it
@@ -138,24 +155,26 @@ pub fn from_text(text: &str) -> Result<Trace, ParseError> {
             "v" => {
                 let mut next_u64 = || -> Option<u64> { it.next().and_then(|s| s.parse().ok()) };
                 let (n, l, s, e) = (next_u64(), next_u64(), next_u64(), next_u64());
-                match (n, l, s, e) {
-                    (Some(n), Some(l), Some(s), Some(e)) => visits.push(Visit::new(
-                        NodeId::from(n as usize),
-                        LandmarkId::from(l as usize),
-                        SimTime(s),
-                        SimTime(e),
-                    )),
-                    _ => return Err(bad(ln, "v requires: node landmark start end")),
-                }
+                let (Some(n), Some(l), Some(s), Some(e)) = (n, l, s, e) else {
+                    return Err(bad(ln, "v requires: node landmark start end"));
+                };
+                let node = u32::try_from(n).map_err(|_| bad(ln, "v node id exceeds u32"))?;
+                let lm = u16::try_from(l).map_err(|_| bad(ln, "v landmark id exceeds u16"))?;
+                visits.push(Visit::new(
+                    NodeId(node),
+                    LandmarkId(lm),
+                    SimTime(s),
+                    SimTime(e),
+                ));
             }
             other => return Err(bad(ln, &format!("unknown tag `{other}`"))),
         }
     }
 
     positions.sort_by_key(|&(i, _)| i);
-    let expect: Vec<usize> = (0..landmarks).collect();
-    let got: Vec<usize> = positions.iter().map(|&(i, _)| i).collect();
-    if got != expect {
+    let exact =
+        positions.len() == landmarks && positions.iter().enumerate().all(|(k, &(i, _))| i == k);
+    if !exact {
         return Err(ParseError::Invalid(format!(
             "positions must cover 0..{landmarks} exactly once"
         )));
@@ -219,6 +238,34 @@ mod tests {
         }
         let text = "dtn-trace v1\nfrobnicate 1\n";
         assert!(matches!(from_text(text), Err(ParseError::BadLine { .. })));
+    }
+
+    #[test]
+    fn rejects_out_of_range_ids_and_counts() {
+        let base = "dtn-trace v1\nnodes 1\nlandmarks 1\npos 0 0 0\n";
+        for (extra, line) in [
+            ("v 0 70000 0 10\n", 5),
+            ("v 8589934592 0 0 10\n", 5),
+            ("v 0 0 0 99999999999999999999\n", 5),
+        ] {
+            match from_text(&format!("{base}{extra}")) {
+                Err(ParseError::BadLine { line: l, .. }) => assert_eq!(l, line, "{extra}"),
+                other => panic!("{extra}: expected BadLine, got {other:?}"),
+            }
+        }
+        for (text, line) in [
+            ("dtn-trace v1\nlandmarks 65537\n", 2),
+            ("dtn-trace v1\nlandmarks 18446744073709551615\n", 2),
+            ("dtn-trace v1\nnodes 4294967297\n", 2),
+        ] {
+            match from_text(text) {
+                Err(ParseError::BadLine { line: l, .. }) => assert_eq!(l, line, "{text}"),
+                other => panic!("{text}: expected BadLine, got {other:?}"),
+            }
+        }
+        // The largest ids and counts still parse as far as validation.
+        let text = "dtn-trace v1\nnodes 1\nlandmarks 65536\nv 0 65535 0 10\n";
+        assert!(matches!(from_text(text), Err(ParseError::Invalid(_))));
     }
 
     #[test]
